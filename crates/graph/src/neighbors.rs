@@ -148,10 +148,12 @@ impl HistoryScratch {
         Self::default()
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.neighbor.clear();
-        self.ts.clear();
-        self.event_idx.clear();
+    /// Size every column to an `n`-entry window; the paged reader then
+    /// overwrites each slot in place.
+    pub(crate) fn resize(&mut self, n: usize) {
+        self.neighbor.resize(n, 0);
+        self.ts.resize(n, 0.0);
+        self.event_idx.resize(n, 0);
     }
 
     /// View the materialised window as a [`NeighborSlice`] — the exact

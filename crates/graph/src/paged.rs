@@ -9,7 +9,12 @@
 //!    event stream (every benchtemp dataset) keeps its order and the paged
 //!    event indices equal the resident `NeighborFinder`'s;
 //! 2. `before_into` materialises the *identical* strictly-before-`t`
-//!    window bytes into a [`HistoryScratch`];
+//!    window bytes into a [`HistoryScratch`]: the store's cut search
+//!    ([`TemporalStore::cut_before`]) finds the resident
+//!    `partition_point` from the resident page-start timestamps plus one
+//!    page, and [`TemporalStore::read_adj`] decodes each page the window
+//!    spans once, straight from its interleaved 16-byte records
+//!    (`ts` bits, neighbor, event index) into the scratch columns;
 //! 3. sampling then runs the exact slice kernels
 //!    (`sample_slice_into`/`sample_slice_one`) and frontier engine
 //!    (`expand_frontier`) the resident path runs, so RNG consumption and
@@ -119,22 +124,12 @@ impl PagedNeighborFinder {
     }
 
     /// Entry range of the strictly-before-`t` window: `(start, cut_end)`
-    /// in global adjacency-entry units. A binary search over the paged
-    /// timestamp column — O(log degree) element reads, no window
-    /// materialisation — mirroring the resident `partition_point`.
+    /// in global adjacency-entry units, mirroring the resident
+    /// `partition_point` (see [`TemporalStore::cut_before`]).
     fn cut_before(&self, node: usize, t: f64) -> (u64, u64) {
-        let (s, e) = self.store.node_range(node);
-        let (mut lo, mut hi) = (s, e);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let x = self.store.ts_at(mid).expect("paged store: ts read failed");
-            if x < t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (s, lo)
+        self.store
+            .cut_before(node, t)
+            .expect("paged store: cut search failed")
     }
 
     /// Materialise entries `[start, end)` into `scratch` and view them as
@@ -146,7 +141,7 @@ impl PagedNeighborFinder {
         end: u64,
         scratch: &'s mut HistoryScratch,
     ) -> NeighborSlice<'s> {
-        scratch.clear();
+        scratch.resize((end - start) as usize);
         self.store
             .read_adj(
                 start,
@@ -550,6 +545,139 @@ mod tests {
                 assert_eq!(hr.mask, hp.mask);
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hub node 0 with `hub_degree` time-sorted entries (so its window
+    /// starts at global entry 0 and every page boundary is a multiple of
+    /// the per-page record count), plus background traffic between nodes
+    /// 1..=20 sharing the hub's timestamps. Around each page boundary `b`
+    /// the hub entries `b-3..b+3` share one timestamp, so every boundary
+    /// sits inside a run of ties.
+    fn hub_events(hub_degree: usize, per_page: usize) -> (Vec<Interaction>, Vec<f64>) {
+        let hub_ts: Vec<f64> = (0..hub_degree)
+            .map(|j| {
+                let b = (j + 3) / per_page * per_page;
+                if b > 0 && j + 3 >= b && j < b + 3 {
+                    b as f64
+                } else {
+                    j as f64
+                }
+            })
+            .collect();
+        let mut evs = Vec::new();
+        for (j, &t) in hub_ts.iter().enumerate() {
+            if j % 7 == 0 {
+                evs.push(Interaction {
+                    src: 1 + j % 13,
+                    dst: 14 + j % 7,
+                    t,
+                    feat_idx: evs.len(),
+                });
+            }
+            evs.push(Interaction {
+                src: 0,
+                dst: 1 + j % 20,
+                t,
+                feat_idx: evs.len(),
+            });
+        }
+        (evs, hub_ts)
+    }
+
+    #[test]
+    fn multi_page_windows_bit_identical_across_backends() {
+        use benchtemp_obs::counters::STORE_PAGE_EVICTIONS;
+        use benchtemp_store::pager::PAGE_SIZE;
+        use benchtemp_store::ADJ_RECORD_BYTES;
+
+        let per_page = PAGE_SIZE / ADJ_RECORD_BYTES;
+        let dir = tmpdir("multipage");
+        let (evs, hub_ts) = hub_events(4 * per_page - 40, per_page);
+        let nf = NeighborFinder::from_events(21, &evs);
+        // Four frames: fewer than the hub's window alone spans.
+        let opts = StoreOptions {
+            cache_budget_bytes: Some(4 * PAGE_SIZE),
+            run_events: 256,
+        };
+        let ev0 = STORE_PAGE_EVICTIONS.get();
+        let pf = PagedNeighborFinder::bulk_load(&dir, 21, &evs, None, &opts).unwrap();
+        assert_eq!(pf.store().node_range(0), (0, hub_ts.len() as u64));
+        assert!(pf.degree(0) > 3 * per_page, "hub must span over 3 pages");
+
+        // Below the first timestamp, on every boundary run, between
+        // boundaries, on the first/last timestamp and above the last.
+        let mut times = vec![
+            -1.0,
+            hub_ts[0],
+            700.5,
+            1300.25,
+            hub_ts[hub_ts.len() - 1],
+            1e9,
+        ];
+        for b in (per_page..hub_ts.len()).step_by(per_page) {
+            assert_eq!(hub_ts[b - 3], hub_ts[b + 2], "tie run must straddle {b}");
+            times.extend([hub_ts[b], hub_ts[b] + 0.5, hub_ts[b - 4]]);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let nodes = [0usize, 1, 9, 14, 20];
+
+        let mut scratch = HistoryScratch::new();
+        for &node in &nodes {
+            for &t in &times {
+                let r = nf.before(node, t);
+                let p = pf.before_into(node, t, &mut scratch);
+                assert_eq!(r.neighbor_ids(), p.neighbor_ids(), "node={node} t={t}");
+                assert_eq!(r.event_indices(), p.event_indices(), "node={node} t={t}");
+                assert_eq!(bits(r.ts()), bits(p.ts()), "node={node} t={t}");
+            }
+        }
+
+        let strategies = [
+            SamplingStrategy::MostRecent,
+            SamplingStrategy::Uniform,
+            SamplingStrategy::TemporalExp { alpha: 0.01 },
+            SamplingStrategy::TemporalSafe,
+        ];
+        for strategy in strategies {
+            let mut rng_r = SeededRng::seed_from_u64(11);
+            let mut rng_p = SeededRng::seed_from_u64(11);
+            let mut s_r = SampleScratch::new();
+            let mut s_p = BackendScratch::new();
+            let (mut out_r, mut out_p) = (Vec::new(), Vec::new());
+            for &node in &nodes {
+                for &t in &times {
+                    for k in [5, per_page + 100] {
+                        nf.sample_into(node, t, k, strategy, &mut rng_r, &mut s_r, &mut out_r);
+                        pf.sample_into(node, t, k, strategy, &mut rng_p, &mut s_p, &mut out_p);
+                        assert_eq!(out_r, out_p, "{strategy:?} node={node} t={t} k={k}");
+                    }
+                    let one_r = nf.sample_one(node, t, strategy, &mut rng_r, &mut s_r);
+                    let one_p = pf.sample_one(node, t, strategy, &mut rng_p, &mut s_p);
+                    assert_eq!(one_r, one_p, "{strategy:?} node={node} t={t}");
+                }
+            }
+
+            let roots: Vec<usize> = (0..times.len()).map(|i| nodes[i % nodes.len()]).collect();
+            let seed = frontier_stream_seed(0xbeef, 5);
+            let fr = nf.sample_frontier(&roots, &times, 4, 2, strategy, seed);
+            let fp = pf.sample_frontier(&roots, &times, 4, 2, strategy, seed);
+            assert_eq!(fr.hops.len(), fp.hops.len());
+            for (hr, hp) in fr.hops.iter().zip(&fp.hops) {
+                assert_eq!(hr.nodes, hp.nodes);
+                assert_eq!(bits(&hr.times), bits(&hp.times));
+                assert_eq!(hr.event_idx, hp.event_idx);
+                assert_eq!(hr.feat_idx, hp.feat_idx);
+                let dts_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(dts_bits(&hr.dts), dts_bits(&hp.dts));
+                assert_eq!(hr.mask, hp.mask);
+            }
+        }
+        assert!(
+            STORE_PAGE_EVICTIONS.get() > ev0,
+            "the four-frame cache must evict"
+        );
+        assert!(pf.cache_resident_bytes() <= 4 * PAGE_SIZE);
         std::fs::remove_dir_all(&dir).ok();
     }
 

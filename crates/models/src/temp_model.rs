@@ -17,7 +17,7 @@
 
 use benchtemp_core::efficiency::stage;
 use benchtemp_core::pipeline::{Anatomy, StreamContext, TgnnModel};
-use benchtemp_graph::neighbors::HistoryScratch;
+use benchtemp_graph::neighbors::{HistoryScratch, NeighborSlice};
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_obs as obs;
 use benchtemp_tensor::nn::{GruCell, Linear, MergeLayer, TimeEncode};
@@ -88,14 +88,8 @@ impl Temp {
 
     /// Adaptive reference timestamp: the mean of the node's history
     /// timestamps before `t` (falls back to `t` with empty history).
-    fn reference_time(
-        &self,
-        ctx: &StreamContext,
-        node: usize,
-        t: f64,
-        scratch: &mut HistoryScratch,
-    ) -> f64 {
-        let hist = ctx.neighbors.before_into(node, t, scratch);
+    /// `hist` is that strictly-before-`t` window.
+    fn reference_time(hist: NeighborSlice, t: f64) -> f64 {
         if hist.is_empty() {
             return t;
         }
@@ -122,12 +116,13 @@ impl Temp {
         let mut msg = Matrix::zeros(nodes.len(), edge_dim);
         let mut ref_dts = vec![0.0f32; nodes.len()];
         // One window scratch for the whole batch: only the paged backend
-        // writes into it, and both `before_into` calls per node refill it.
+        // writes into it, once per query; the reference time and the
+        // aggregation both read that one window.
         let mut scratch = HistoryScratch::new();
         for (i, (&node, &t)) in nodes.iter().zip(times).enumerate() {
-            let ref_t = self.reference_time(ctx, node, t, &mut scratch);
-            ref_dts[i] = (t - ref_t).max(0.0) as f32;
             let hist = ctx.neighbors.before_into(node, t, &mut scratch);
+            let ref_t = Self::reference_time(hist, t);
+            ref_dts[i] = (t - ref_t).max(0.0) as f32;
             if hist.is_empty() {
                 continue;
             }
@@ -398,22 +393,13 @@ mod tests {
     fn reference_time_is_mean_of_history() {
         let g = setup();
         let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
-        let ctx = StreamContext {
-            graph: &g,
-            neighbors: NeighborBackend::Resident(&nf),
-        };
-        let m = Temp::new(ModelConfig::default(), &g);
         let node = g.events[0].src;
         let t = 1e9;
         let hist = nf.before(node, t);
         let mean = hist.iter().map(|e| e.t).sum::<f64>() / hist.len() as f64;
-        let mut scratch = HistoryScratch::new();
-        assert!((m.reference_time(&ctx, node, t, &mut scratch) - mean).abs() < 1e-9);
+        assert!((Temp::reference_time(hist, t) - mean).abs() < 1e-9);
         // No history → the query time itself.
-        let lonely = (0..g.num_nodes).find(|&n| nf.degree(n) == 0);
-        if let Some(n) = lonely {
-            assert_eq!(m.reference_time(&ctx, n, 42.0, &mut scratch), 42.0);
-        }
+        assert_eq!(Temp::reference_time(nf.before(node, f64::MIN), 42.0), 42.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! External-sort bulk load: events → sorted runs → k-way merge → CSR
-//! segments and SoA columns written straight to pages.
+//! segments of interleaved adjacency records written straight to pages.
 //!
 //! The loader never holds more than one run of events in memory (plus the
 //! resident index: offsets and per-event feature rows). Input is chunked
@@ -8,7 +8,8 @@
 //! per run, ties broken by run index so the merge is exactly the stable
 //! sort of the concatenated input) streams the sorted order to a temp
 //! file, which is then scanned twice — once to count degrees, once to
-//! fill the CSR columns through the write-back page cache. Because the
+//! fill the CSR adjacency column (one 16-byte record, so one page write,
+//! per entry) through the write-back page cache. Because the
 //! sort is stable, an already-time-sorted input (every benchtemp
 //! generator and dataset) keeps its order, so paged event indices equal
 //! the resident `NeighborFinder`'s — a load-bearing half of the paged
@@ -23,8 +24,18 @@ use std::path::{Path, PathBuf};
 use benchtemp_obs::counters::STORE_BULK_EVENTS;
 
 use crate::cache::CachedPager;
-use crate::snapshot::{Manifest, COL_EFEAT, COL_EVI, COL_EVT, COL_FEAT, COL_NBR, COL_OFF, COL_TS};
-use crate::{Column, StoreEvent, EVT_RECORD_BYTES};
+use crate::snapshot::{Manifest, COL_ADJ, COL_EFEAT, COL_EVT, COL_FEAT, COL_OFF};
+use crate::{Column, StoreEvent, ADJ_PER_PAGE, ADJ_RECORD_BYTES, EVT_RECORD_BYTES};
+
+/// Serialize one adjacency entry as its interleaved page record:
+/// timestamp bits at 0, neighbor at 8, event index at 12.
+fn encode_adj(t: f64, neighbor: u32, event_idx: u32) -> [u8; ADJ_RECORD_BYTES] {
+    let mut rec = [0u8; ADJ_RECORD_BYTES];
+    rec[0..8].copy_from_slice(&t.to_bits().to_le_bytes());
+    rec[8..12].copy_from_slice(&neighbor.to_le_bytes());
+    rec[12..16].copy_from_slice(&event_idx.to_le_bytes());
+    rec
+}
 
 /// Serialize one event as the 20-byte run/merge record (no checksum — the
 /// temp files live and die inside one bulk load).
@@ -159,9 +170,18 @@ fn sort_externally(
     Ok((sorted_path, count))
 }
 
-/// Build all store columns inside `cp` from an event stream. Returns the
-/// manifest (page tables + allocation state) and the resident index
-/// (offsets, per-event feature rows).
+/// What [`build`] hands back: the manifest (page tables + allocation
+/// state) and the resident index.
+pub(crate) struct Built {
+    pub(crate) manifest: Manifest,
+    pub(crate) offsets: Vec<u64>,
+    pub(crate) event_feat: Vec<u32>,
+    /// First timestamp on each adjacency page, recorded as pass B writes
+    /// it (a scan afterwards would fault every adjacency page back in).
+    pub(crate) page_ts: Vec<f64>,
+}
+
+/// Build all store columns inside `cp` from an event stream.
 pub(crate) fn build(
     dir: &Path,
     cp: &CachedPager,
@@ -169,7 +189,7 @@ pub(crate) fn build(
     events: impl Iterator<Item = io::Result<StoreEvent>>,
     edge_features: Option<(usize, usize, &[f32])>,
     run_events: usize,
-) -> io::Result<(Manifest, Vec<u64>, Vec<u32>)> {
+) -> io::Result<Built> {
     let _span = benchtemp_obs::span("store.bulk_load");
     let (sorted_path, num_events) = sort_externally(dir, events, run_events)?;
     let num_entries = num_events * 2;
@@ -200,9 +220,7 @@ pub(crate) fn build(
 
     // Allocate every column up front.
     let col_off = Column::with_len(cp, (num_nodes as u64 + 1) * 8);
-    let col_nbr = Column::with_len(cp, num_entries * 4);
-    let col_ts = Column::with_len(cp, num_entries * 8);
-    let col_evi = Column::with_len(cp, num_entries * 4);
+    let col_adj = Column::with_len(cp, num_entries * ADJ_RECORD_BYTES as u64);
     let col_feat = Column::with_len(cp, num_events * 4);
     let col_evt = Column::with_len(cp, num_events * EVT_RECORD_BYTES as u64);
     let (feat_rows, feat_cols) = edge_features.map_or((0, 0), |(r, c, _)| (r, c));
@@ -222,10 +240,11 @@ pub(crate) fn build(
         }
     }
 
-    // Pass B: fill the CSR SoA columns at per-node cursors and the event
+    // Pass B: fill the adjacency column at per-node cursors and the event
     // columns sequentially. Random node order means random page writes;
     // the write-back cache absorbs them inside the byte budget.
     let mut event_feat = vec![0u32; num_events as usize];
+    let mut page_ts = vec![0f64; num_entries.div_ceil(ADJ_PER_PAGE) as usize];
     {
         let mut cursor: Vec<u64> = offsets[..num_nodes].to_vec();
         let mut r = BufReader::new(File::open(&sorted_path)?);
@@ -236,9 +255,11 @@ pub(crate) fn build(
             for (node, other) in [(ev.src, ev.dst), (ev.dst, ev.src)] {
                 let c = cursor[node as usize];
                 cursor[node as usize] += 1;
-                col_nbr.write_bytes(cp, c * 4, &other.to_le_bytes())?;
-                col_ts.write_bytes(cp, c * 8, &ev.t.to_bits().to_le_bytes())?;
-                col_evi.write_bytes(cp, c * 4, &(idx as u32).to_le_bytes())?;
+                let rec = encode_adj(ev.t, other, idx as u32);
+                col_adj.write_bytes(cp, c * ADJ_RECORD_BYTES as u64, &rec)?;
+                if c.is_multiple_of(ADJ_PER_PAGE) {
+                    page_ts[(c / ADJ_PER_PAGE) as usize] = ev.t;
+                }
             }
             idx += 1;
         }
@@ -284,13 +305,16 @@ pub(crate) fn build(
     manifest.feat_rows = feat_rows as u64;
     manifest.feat_cols = feat_cols as u64;
     manifest.col_pages[COL_OFF] = col_off.pages;
-    manifest.col_pages[COL_NBR] = col_nbr.pages;
-    manifest.col_pages[COL_TS] = col_ts.pages;
-    manifest.col_pages[COL_EVI] = col_evi.pages;
+    manifest.col_pages[COL_ADJ] = col_adj.pages;
     manifest.col_pages[COL_FEAT] = col_feat.pages;
     manifest.col_pages[COL_EVT] = col_evt.pages;
     manifest.col_pages[COL_EFEAT] = col_efeat.pages;
     manifest.num_pages = cp.num_pages();
     manifest.free = cp.free_list();
-    Ok((manifest, offsets, event_feat))
+    Ok(Built {
+        manifest,
+        offsets,
+        event_feat,
+        page_ts,
+    })
 }

@@ -1,13 +1,13 @@
 //! `benchtemp-store`: out-of-core paged temporal graph storage.
 //!
 //! The store keeps the *payload* of a temporal graph — the CSR adjacency
-//! SoA columns (neighbor, timestamp, event index), the sorted event
-//! records, and the edge-feature matrix — on fixed-size disk pages behind
-//! a CLOCK cache with a byte budget ([`crate::cache`]), while the *index*
-//! (per-node CSR offsets and the per-event feature-row map) stays
-//! resident: ~12 bytes per node plus 4 bytes per event, orders of
-//! magnitude below the 20 bytes per adjacency entry plus features that
-//! page out. Streaming ingest lands in a write-ahead log
+//! records, the sorted event records, and the edge-feature matrix — on
+//! fixed-size disk pages behind a CLOCK cache with a byte budget
+//! ([`crate::cache`]), while the *index* (per-node CSR offsets, the
+//! per-event feature-row map and the first timestamp of each adjacency
+//! page) stays resident: ~8 bytes per node plus ~4 bytes per event,
+//! orders of magnitude below the 32 bytes of adjacency per event plus
+//! features that page out. Streaming ingest lands in a write-ahead log
 //! ([`crate::wal`]); [`TemporalStore::seal`] folds the log into pages via
 //! the external-sort bulk loader ([`crate::bulkload`]); snapshot/restore
 //! round-trips the manifest plus an opaque resume blob
@@ -21,6 +21,20 @@
 //! | `manifest.bin` | page tables, counts, free list, checksummed |
 //! | `wal.log` | fixed-frame event records not yet folded in |
 //! | `snap_<tag>.bin` | tagged manifest copies with a resume blob |
+//!
+//! Columns inside `store.pages` (page tables in the manifest):
+//!
+//! | column | record | contents |
+//! |---|---|---|
+//! | offsets | 8 B | CSR offsets, `num_nodes + 1` (loaded resident on open) |
+//! | adjacency | 16 B: `ts` bits @0, neighbor `u32` @8, event index `u32` @12 | per-node time-sorted entries, 512 per page, never straddling a page |
+//! | event feat | 4 B | edge-feature row per event (loaded resident on open) |
+//! | events | 20 B | the sorted event log |
+//! | edge features | 4 B per `f32` | row-major edge-feature matrix |
+//!
+//! A window read touches each page it spans once and decodes the whole
+//! record there; the strictly-before-`t` cut ([`TemporalStore::cut_before`])
+//! searches the resident page-start timestamps and then one page.
 
 pub mod bulkload;
 pub mod cache;
@@ -34,7 +48,7 @@ use std::sync::OnceLock;
 
 use cache::CachedPager;
 use pager::{PageId, PAGE_SIZE};
-use snapshot::{Manifest, COL_EFEAT, COL_EVI, COL_EVT, COL_FEAT, COL_NBR, COL_OFF, COL_TS};
+use snapshot::{Manifest, COL_ADJ, COL_EFEAT, COL_EVT, COL_FEAT, COL_OFF};
 use wal::Wal;
 
 /// One temporal interaction as the store frames it (plain-old-data; the
@@ -50,6 +64,25 @@ pub struct StoreEvent {
 
 /// On-disk size of one event record in the EVT column and bulk temp files.
 pub const EVT_RECORD_BYTES: usize = 20;
+
+/// On-disk size of one interleaved adjacency record: timestamp bits at
+/// offset 0, neighbor at 8, event index at 12.
+pub const ADJ_RECORD_BYTES: usize = 16;
+
+/// Adjacency records per page. `PAGE_SIZE` is a multiple of the record
+/// size, so no record straddles a page.
+pub(crate) const ADJ_PER_PAGE: u64 = (PAGE_SIZE / ADJ_RECORD_BYTES) as u64;
+const _: () = assert!(PAGE_SIZE.is_multiple_of(ADJ_RECORD_BYTES));
+
+/// Little-endian loads out of one page-resident adjacency record.
+#[inline]
+fn rec_ts(rec: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(rec[0..8].try_into().unwrap()))
+}
+#[inline]
+fn rec_u32(rec: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(rec[at..at + 4].try_into().unwrap())
+}
 
 /// Store construction knobs.
 #[derive(Clone, Debug)]
@@ -150,9 +183,7 @@ impl Column {
 
 struct Columns {
     off: Column,
-    nbr: Column,
-    ts: Column,
-    evi: Column,
+    adj: Column,
     feat: Column,
     evt: Column,
     efeat: Column,
@@ -162,9 +193,10 @@ impl Columns {
     fn from_manifest(m: &Manifest) -> Columns {
         Columns {
             off: Column::from_pages(m.col_pages[COL_OFF].clone(), (m.num_nodes + 1) * 8),
-            nbr: Column::from_pages(m.col_pages[COL_NBR].clone(), m.num_entries * 4),
-            ts: Column::from_pages(m.col_pages[COL_TS].clone(), m.num_entries * 8),
-            evi: Column::from_pages(m.col_pages[COL_EVI].clone(), m.num_entries * 4),
+            adj: Column::from_pages(
+                m.col_pages[COL_ADJ].clone(),
+                m.num_entries * ADJ_RECORD_BYTES as u64,
+            ),
             feat: Column::from_pages(m.col_pages[COL_FEAT].clone(), m.num_events * 4),
             evt: Column::from_pages(
                 m.col_pages[COL_EVT].clone(),
@@ -202,6 +234,9 @@ pub struct TemporalStore {
     offsets: Vec<u64>,
     /// Resident index: edge-feature row per event.
     event_feat: Vec<u32>,
+    /// Resident index: timestamp of the first record on each adjacency
+    /// page, for the page-level half of [`TemporalStore::cut_before`].
+    page_ts: Vec<f64>,
     wal: Wal,
 }
 
@@ -217,7 +252,7 @@ impl TemporalStore {
     ) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let cp = CachedPager::create(&pages_path(dir), opts.cache_budget_bytes)?;
-        let (manifest, offsets, event_feat) = bulkload::build(
+        let built = bulkload::build(
             dir,
             &cp,
             num_nodes,
@@ -226,17 +261,18 @@ impl TemporalStore {
             opts.run_events,
         )?;
         cp.flush()?;
-        manifest.write_to(&manifest_path(dir))?;
+        built.manifest.write_to(&manifest_path(dir))?;
         let wal = Wal::open_append(&wal_path(dir))?;
-        let cols = Columns::from_manifest(&manifest);
+        let cols = Columns::from_manifest(&built.manifest);
         Ok(TemporalStore {
             dir: dir.to_path_buf(),
             opts: opts.clone(),
             cp,
             cols,
-            manifest,
-            offsets,
-            event_feat,
+            manifest: built.manifest,
+            offsets: built.offsets,
+            event_feat: built.event_feat,
+            page_ts: built.page_ts,
             wal,
         })
     }
@@ -286,6 +322,12 @@ impl TemporalStore {
             }
             loaded += take;
         }
+        let page_ts = cols
+            .adj
+            .pages
+            .iter()
+            .map(|&pg| cp.with_page(pg, rec_ts))
+            .collect::<io::Result<Vec<f64>>>()?;
         let wal = Wal::open_append(&wal_path(dir))?;
         Ok(TemporalStore {
             dir: dir.to_path_buf(),
@@ -295,6 +337,7 @@ impl TemporalStore {
             manifest,
             offsets,
             event_feat,
+            page_ts,
             wal,
         })
     }
@@ -355,14 +398,15 @@ impl TemporalStore {
             idx: 0,
         };
         let chained = sealed.chain(replay.events.iter().map(|ev| Ok(*ev)));
-        let (manifest, _offsets, _event_feat) = bulkload::build(
+        let manifest = bulkload::build(
             &self.dir,
             &new_cp,
             self.manifest.num_nodes as usize,
             chained,
             efeat.as_deref().map(|d| (feat_rows, feat_cols, d)),
             self.opts.run_events,
-        )?;
+        )?
+        .manifest;
         new_cp.flush()?;
         drop(new_cp);
 
@@ -427,46 +471,73 @@ impl TemporalStore {
         &self.event_feat
     }
 
-    /// Timestamp of one adjacency entry (element-granular paged read, for
-    /// binary searches that must not materialise the window).
-    pub fn ts_at(&self, entry: u64) -> io::Result<f64> {
-        let mut b = [0u8; 8];
-        self.cols.ts.read_bytes(&self.cp, entry * 8, &mut b)?;
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
+    /// The strictly-before-`t` window of `node`: `(start, cut)` in global
+    /// adjacency-entry units, where `cut` is the first entry whose
+    /// timestamp is not `< t` (the resident `partition_point`). Every page
+    /// after the node's first one starts with one of its entries, so the
+    /// resident page-start timestamps locate the page holding the cut; a
+    /// binary search inside that one pinned page finishes it.
+    pub fn cut_before(&self, node: usize, t: f64) -> io::Result<(u64, u64)> {
+        let (s, e) = self.node_range(node);
+        if s == e {
+            return Ok((s, s));
+        }
+        let first = s / ADJ_PER_PAGE;
+        let last = (e - 1) / ADJ_PER_PAGE;
+        let later = &self.page_ts[first as usize + 1..=last as usize];
+        let page = first + later.partition_point(|&x| x < t) as u64;
+        let base = page * ADJ_PER_PAGE;
+        let (lo, hi) = (s.max(base) - base, e.min(base + ADJ_PER_PAGE) - base);
+        let within = self
+            .cp
+            .with_page(self.cols.adj.pages[page as usize], |buf| {
+                let (mut lo, mut hi) = (lo as usize, hi as usize);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if rec_ts(&buf[mid * ADJ_RECORD_BYTES..]) < t {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            })?;
+        Ok((s, base + within as u64))
     }
 
-    /// Read adjacency entries `[start, end)` into SoA output vectors
-    /// (appended; callers clear). Page-strided: one cache touch per page
-    /// per column, not per element.
+    /// Decode adjacency entries `[start, end)` into caller-sized SoA
+    /// slices of length `end - start`: each page the window spans is
+    /// touched once and its records decoded in place while pinned.
     pub fn read_adj(
         &self,
         start: u64,
         end: u64,
-        nbr: &mut Vec<u32>,
-        ts: &mut Vec<f64>,
-        evi: &mut Vec<u32>,
+        nbr: &mut [u32],
+        ts: &mut [f64],
+        evi: &mut [u32],
     ) -> io::Result<()> {
         debug_assert!(start <= end && end <= self.manifest.num_entries);
         let n = (end - start) as usize;
-        // audit-allow(hot-path-alloc-reachability): per-window staging buffer on the page-IO path; reachable from the pinned samplers only through the paged backend, where page-cache locking and IO dominate the window alloc.
-        let mut bytes = vec![0u8; n.max(1) * 8];
-        // u32 columns.
-        for (col, out) in [(&self.cols.nbr, &mut *nbr), (&self.cols.evi, &mut *evi)] {
-            let b = &mut bytes[..n * 4];
-            col.read_bytes(&self.cp, start * 4, b)?;
-            out.reserve(n);
-            for chunk in b.chunks_exact(4) {
-                out.push(u32::from_le_bytes(chunk.try_into().unwrap()));
-            }
-        }
-        // f64 timestamp column.
-        let b = &mut bytes[..n * 8];
-        self.cols.ts.read_bytes(&self.cp, start * 8, b)?;
-        ts.reserve(n);
-        for chunk in b.chunks_exact(8) {
-            ts.push(f64::from_bits(u64::from_le_bytes(
-                chunk.try_into().unwrap(),
-            )));
+        assert!(nbr.len() == n && ts.len() == n && evi.len() == n);
+        let mut entry = start;
+        let mut done = 0usize;
+        while entry < end {
+            let page = entry / ADJ_PER_PAGE;
+            let take = (end.min((page + 1) * ADJ_PER_PAGE) - entry) as usize;
+            let at = (entry % ADJ_PER_PAGE) as usize * ADJ_RECORD_BYTES;
+            let to = done + take;
+            let (nbr, ts, evi) = (&mut nbr[done..to], &mut ts[done..to], &mut evi[done..to]);
+            self.cp
+                .with_page(self.cols.adj.pages[page as usize], |buf| {
+                    let bytes = &buf[at..at + take * ADJ_RECORD_BYTES];
+                    for (i, rec) in bytes.chunks_exact(ADJ_RECORD_BYTES).enumerate() {
+                        ts[i] = rec_ts(rec);
+                        nbr[i] = rec_u32(rec, 8);
+                        evi[i] = rec_u32(rec, 12);
+                    }
+                })?;
+            entry += take as u64;
+            done += take;
         }
         Ok(())
     }
@@ -508,7 +579,7 @@ impl TemporalStore {
 
     /// Bytes of resident index this store keeps in RAM by design.
     pub fn resident_index_bytes(&self) -> usize {
-        self.offsets.capacity() * 8 + self.event_feat.capacity() * 4
+        self.offsets.capacity() * 8 + self.event_feat.capacity() * 4 + self.page_ts.capacity() * 8
     }
 
     pub fn flush(&self) -> io::Result<()> {
@@ -572,7 +643,8 @@ mod tests {
         assert_eq!(st.num_entries(), 400);
         // Node 0 participates as src for i ≡ 0 (mod 7).
         let (s, e) = st.node_range(0);
-        let (mut nbr, mut ts, mut evi) = (Vec::new(), Vec::new(), Vec::new());
+        let n = (e - s) as usize;
+        let (mut nbr, mut ts, mut evi) = (vec![0; n], vec![0.0; n], vec![0; n]);
         st.read_adj(s, e, &mut nbr, &mut ts, &mut evi).unwrap();
         let expect: Vec<u32> = (0..200).filter(|i| i % 7 == 0).collect();
         assert_eq!(evi, expect);
@@ -583,6 +655,51 @@ mod tests {
         // Event records round-trip.
         let ev = st.read_event(13).unwrap();
         assert_eq!(ev, evs[13]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cut_before_matches_linear_scan_across_pages() {
+        let dir = tmpdir("cut");
+        // Node 3 is the dst of every event: 1,200 entries starting
+        // mid-page at entry 1,200, so its window spans three pages with
+        // runs of five tied timestamps.
+        let evs: Vec<StoreEvent> = (0..1200)
+            .map(|i| StoreEvent {
+                src: i % 3,
+                dst: 3,
+                t: (i / 5) as f64,
+                feat: i,
+            })
+            .collect();
+        let opts = StoreOptions {
+            cache_budget_bytes: Some(1),
+            run_events: 100,
+        };
+        let bulk = TemporalStore::bulk_load(&dir, 4, &evs, None, &opts).unwrap();
+        let reopened = TemporalStore::open(&dir, &opts).unwrap();
+        assert_eq!(
+            bulk.page_ts, reopened.page_ts,
+            "open must rebuild the page index"
+        );
+        for st in [&bulk, &reopened] {
+            for node in 0..4 {
+                let (s, e) = st.node_range(node);
+                let n = (e - s) as usize;
+                let (mut nbr, mut ts, mut evi) = (vec![0; n], vec![0.0; n], vec![0; n]);
+                st.read_adj(s, e, &mut nbr, &mut ts, &mut evi).unwrap();
+                let fixed = [-1.0, 0.0, 0.5, 102.4, 239.0, 240.0, f64::NAN];
+                // Node 3's page starts (entries 1536, 2048) sit inside tie runs.
+                for &t in fixed.iter().chain(&st.page_ts) {
+                    let cut = s + ts.partition_point(|&x| x < t) as u64;
+                    assert_eq!(
+                        st.cut_before(node, t).unwrap(),
+                        (s, cut),
+                        "node={node} t={t}"
+                    );
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

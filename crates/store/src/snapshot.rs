@@ -15,19 +15,20 @@ use std::path::Path;
 
 use crate::pager::PageId;
 
-const MAGIC: &[u8; 8] = b"BTMANIF1";
+/// Format tag. `BTMANIF1` stores carried three SoA adjacency columns;
+/// v2 carries one interleaved adjacency column, so a v1 manifest is
+/// rejected at the magic check instead of being misread.
+const MAGIC: &[u8; 8] = b"BTMANIF2";
 
 /// Number of column page tables, in fixed order:
-/// offsets, neighbor, ts, event_idx, event_feat, events, edge_features.
-pub const NUM_COLUMNS: usize = 7;
+/// offsets, adjacency records, event_feat, events, edge_features.
+pub const NUM_COLUMNS: usize = 5;
 
 pub const COL_OFF: usize = 0;
-pub const COL_NBR: usize = 1;
-pub const COL_TS: usize = 2;
-pub const COL_EVI: usize = 3;
-pub const COL_FEAT: usize = 4;
-pub const COL_EVT: usize = 5;
-pub const COL_EFEAT: usize = 6;
+pub const COL_ADJ: usize = 1;
+pub const COL_FEAT: usize = 2;
+pub const COL_EVT: usize = 3;
+pub const COL_EFEAT: usize = 4;
 
 /// Durable description of one store generation.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -215,8 +216,7 @@ mod tests {
         m.feat_cols = 4;
         m.num_pages = 9;
         m.free = vec![3, 5];
-        m.col_pages[COL_NBR] = vec![0, 1];
-        m.col_pages[COL_TS] = vec![2, 4];
+        m.col_pages[COL_ADJ] = vec![0, 1, 2, 4];
         m.user_blob = "epoch=3".to_string();
         m
     }
@@ -238,5 +238,31 @@ mod tests {
         );
         let short = &sample().encode()[..10];
         assert!(Manifest::decode(short).is_err());
+    }
+
+    #[test]
+    fn v1_manifest_rejected_as_invalid_data() {
+        // A well-formed v1 manifest: old magic, the seven v1 page tables
+        // (offsets, neighbor, ts, event_idx, event_feat, events,
+        // edge_features), a valid checksum. Without the magic bump its
+        // first five tables would decode as a v2 manifest.
+        let m = sample();
+        let mut v1 = b"BTMANIF1".to_vec();
+        for v in [10u64, 7, 14, 7, 4, 9, 2, 3, 5] {
+            push_u64(&mut v1, v); // six counts, then the two-entry free list
+        }
+        let v1_cols: [&[u64]; 7] = [&[], &[0, 1], &[2, 4], &[], &[], &[], &[]];
+        for col in v1_cols {
+            push_u64(&mut v1, col.len() as u64);
+            for &p in col {
+                push_u64(&mut v1, p);
+            }
+        }
+        push_u64(&mut v1, m.user_blob.len() as u64);
+        v1.extend_from_slice(m.user_blob.as_bytes());
+        let check = fnv1a(&v1);
+        push_u64(&mut v1, check);
+        let err = Manifest::decode(&v1).expect_err("v1 manifest must not decode");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }
