@@ -36,6 +36,9 @@ echo "== ci: tier-1 verify =="
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+echo "== ci: e2ebench builds against the workspace crates =="
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== ci: kernel smoke bench =="
 cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 

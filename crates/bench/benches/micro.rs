@@ -50,12 +50,12 @@ fn bench_tensor() {
     let k = init::randn(1000, 32, 1.0, &mut rng);
     let v = init::randn(1000, 32, 1.0, &mut rng);
     let mask = vec![true; 1000];
-    timing::run("tensor/grouped_attention_fwd_bwd", || {
+    timing::run("tensor/multi_head_attention_fwd_bwd", || {
         let mut t = Tape::new();
         let qv = t.leaf(q.clone());
         let kv = t.leaf(k.clone());
         let vv = t.leaf(v.clone());
-        let out = t.grouped_attention(qv, kv, vv, 10, &mask);
+        let out = t.multi_head_grouped_attention(qv, kv, vv, 2, 10, &mask);
         let loss = t.mean_all(out);
         black_box(t.backward(loss))
     });

@@ -2,11 +2,11 @@
 //! produces bit-identical metrics at any `BENCHTEMP_THREADS` setting.
 //!
 //! The pool reads `BENCHTEMP_THREADS` once per process, so each setting runs
-//! in a child process: the driver test re-invokes this test binary with
-//! `BENCHTEMP_DETERMINISM_CHILD=1`, the worker test trains a small model
-//! through the full link-prediction pipeline (big enough to cross the
-//! parallel matmul threshold) and prints the exact bit patterns of every
-//! metric, and the driver compares the lines across thread counts.
+//! in a child process (`common::child`): the driver test re-invokes this
+//! test binary, the worker test trains a small model through the full
+//! link-prediction pipeline (big enough to cross the parallel matmul
+//! threshold) and prints the exact bit patterns of every metric, and the
+//! driver compares the lines across thread counts.
 
 mod common;
 
@@ -19,7 +19,7 @@ use common::{MlpEdgeModel, NODE_DIM};
 /// bit pattern. Skipped unless spawned by the driver below.
 #[test]
 fn determinism_child_worker() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_err() {
+    if !common::child::is_child() {
         return;
     }
     let mut cfg = GeneratorConfig::small("det", 11);
@@ -48,13 +48,13 @@ fn determinism_child_worker() {
 }
 
 fn run_child(envs: &[(&str, &str)]) -> String {
-    common::run_child("determinism_child_worker", envs)
+    common::child::run_child("determinism_child_worker", envs)
 }
 
 /// The contract itself: one thread vs four threads, bit-identical metrics.
 #[test]
 fn metrics_bit_identical_across_thread_counts() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
+    if common::child::is_child() {
         return; // don't recurse inside a child process
     }
     let single = run_child(&[("BENCHTEMP_THREADS", "1")]);
@@ -67,7 +67,7 @@ fn metrics_bit_identical_across_thread_counts() {
 /// accounting; it never reorders or perturbs work).
 #[test]
 fn metrics_bit_identical_with_sanitizer_on() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
+    if common::child::is_child() {
         return; // don't recurse inside a child process
     }
     let plain = run_child(&[("BENCHTEMP_THREADS", "4")]);

@@ -18,7 +18,8 @@ use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::{train_link_prediction, TrainConfig};
 use benchtemp_core::{FilteredNegativeSet, NegativeStrategy};
 use benchtemp_graph::generators::GeneratorConfig;
-use common::{run_child, MlpEdgeModel, NODE_DIM};
+use common::child::{is_child, run_child};
+use common::{MlpEdgeModel, NODE_DIM};
 
 fn fixture() -> (
     benchtemp_graph::temporal_graph::TemporalGraph,
@@ -36,7 +37,7 @@ fn fixture() -> (
 /// ranking metric bits from a trained pipeline run.
 #[test]
 fn ranking_child_worker() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_err() {
+    if !is_child() {
         return;
     }
     let (graph, split) = fixture();
@@ -74,7 +75,7 @@ fn ranking_child_worker() {
 /// thread counts, compared across separate processes.
 #[test]
 fn ranking_bits_identical_across_threads_and_processes() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
+    if is_child() {
         return; // don't recurse inside a child process
     }
     let single = run_child("ranking_child_worker", &[("BENCHTEMP_THREADS", "1")]);
@@ -97,7 +98,7 @@ fn ranking_bits_identical_across_threads_and_processes() {
 /// AUC/AP bits with `rank_negatives = 10` match a run with ranking off.
 #[test]
 fn enabling_ranking_leaves_auc_ap_bits_untouched() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
+    if is_child() {
         return;
     }
     let (graph, split) = fixture();

@@ -10,7 +10,8 @@
 //! children must agree, and `BENCHTEMP_SANITIZE=1` (which activates the
 //! `grouped_attention_rows` slab-claim checking) must not perturb it.
 
-use std::process::Command;
+#[path = "../../core/tests/common/child.rs"]
+mod child;
 
 use benchtemp_core::pipeline::{StreamContext, TgnnModel};
 use benchtemp_graph::generators::GeneratorConfig;
@@ -18,16 +19,6 @@ use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_graph::NeighborFinder;
 use benchtemp_models::common::ModelConfig;
 use benchtemp_models::tgat::Tgat;
-
-/// FNV-1a over a byte stream — endian-stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Train a small TGAT for a few batches and digest the trajectory:
 /// every train loss bit pattern plus the final eval scores.
@@ -64,54 +55,36 @@ fn tgat_trajectory_digest() -> u64 {
     for s in pos.iter().chain(neg.iter()) {
         bytes.extend(s.to_bits().to_le_bytes());
     }
-    fnv1a(bytes.into_iter())
+    child::fnv1a(bytes.into_iter())
 }
 
 /// Child-process worker: prints the digest. Skipped unless spawned below.
 #[test]
 fn attention_child_worker() {
-    if std::env::var("BENCHTEMP_ATTENTION_CHILD").is_err() {
+    if !child::is_child() {
         return;
     }
     println!("RESULT {:016x}", tgat_trajectory_digest());
-}
-
-fn run_child(threads: &str, sanitize: bool) -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let mut cmd = Command::new(exe);
-    cmd.args(["attention_child_worker", "--exact", "--nocapture"])
-        .env("BENCHTEMP_ATTENTION_CHILD", "1")
-        .env("BENCHTEMP_THREADS", threads);
-    if sanitize {
-        cmd.env("BENCHTEMP_SANITIZE", "1");
-    }
-    let out = cmd.output().expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "attention child (threads={threads}, sanitize={sanitize}) failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
 }
 
 /// 1-thread vs 4-thread children, with and without the sanitizer: one bit
 /// pattern for the whole TGAT train/eval trajectory.
 #[test]
 fn tgat_trajectory_bit_identical_across_processes_and_threads() {
-    if std::env::var("BENCHTEMP_ATTENTION_CHILD").is_ok() {
+    if child::is_child() {
         return; // don't recurse inside a child process
     }
-    let single = run_child("1", false);
-    let quad = run_child("4", false);
+    let worker = "attention_child_worker";
+    let single = child::run_child(worker, &[("BENCHTEMP_THREADS", "1")]);
+    let quad = child::run_child(worker, &[("BENCHTEMP_THREADS", "4")]);
     assert_eq!(
         single, quad,
         "fused attention trajectory must not depend on thread count"
     );
-    let quad_sanitized = run_child("4", true);
+    let quad_sanitized = child::run_child(
+        worker,
+        &[("BENCHTEMP_THREADS", "4"), ("BENCHTEMP_SANITIZE", "1")],
+    );
     assert_eq!(
         single, quad_sanitized,
         "sanitize-mode slab-claim checking must not perturb the trajectory"

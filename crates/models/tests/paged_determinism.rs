@@ -11,7 +11,8 @@
 //! 1-thread and 4-thread children must print the same bits, which also
 //! witnesses that eviction scheduling never leaks into results.
 
-use std::process::Command;
+#[path = "../../core/tests/common/child.rs"]
+mod child;
 
 use benchtemp_core::pipeline::{StreamContext, TgnnModel};
 use benchtemp_graph::generators::GeneratorConfig;
@@ -22,16 +23,6 @@ use benchtemp_models::tgat::Tgat;
 use benchtemp_obs::counters::STORE_PAGE_EVICTIONS;
 
 const CACHE_BUDGET: usize = 64 * 1024;
-
-/// FNV-1a over a byte stream — endian-stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Digest every column of every hop of a frontier.
 fn frontier_bytes(f: &benchtemp_graph::Frontier, bytes: &mut Vec<u8>) {
@@ -110,8 +101,8 @@ fn paged_digest() -> u64 {
     frontier_bytes(&resident_f, &mut rb);
     frontier_bytes(&paged_f, &mut pb);
     assert_eq!(
-        fnv1a(rb.into_iter()),
-        fnv1a(pb.iter().copied()),
+        child::fnv1a(rb.into_iter()),
+        child::fnv1a(pb.iter().copied()),
         "paged frontier must be bit-identical to resident"
     );
 
@@ -131,8 +122,8 @@ fn paged_digest() -> u64 {
         },
     );
     assert_eq!(
-        fnv1a(resident_traj.into_iter()),
-        fnv1a(paged_traj.iter().copied()),
+        child::fnv1a(resident_traj.into_iter()),
+        child::fnv1a(paged_traj.iter().copied()),
         "TGAT trajectory through the paged backend must match resident"
     );
     assert!(
@@ -142,35 +133,16 @@ fn paged_digest() -> u64 {
 
     drop(paged);
     let _ = std::fs::remove_dir_all(&dir);
-    fnv1a(pb.into_iter().chain(paged_traj))
+    child::fnv1a(pb.into_iter().chain(paged_traj))
 }
 
 /// Child-process worker: prints the digest. Skipped unless spawned below.
 #[test]
 fn paged_child_worker() {
-    if std::env::var("BENCHTEMP_PAGED_CHILD").is_err() {
+    if !child::is_child() {
         return;
     }
     println!("RESULT {:016x}", paged_digest());
-}
-
-fn run_child(threads: &str) -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let mut cmd = Command::new(exe);
-    cmd.args(["paged_child_worker", "--exact", "--nocapture"])
-        .env("BENCHTEMP_PAGED_CHILD", "1")
-        .env("BENCHTEMP_THREADS", threads);
-    let out = cmd.output().expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "paged child (threads={threads}) failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
 }
 
 /// 1-thread vs 4-thread children: the paged frontier and the paged
@@ -178,11 +150,11 @@ fn run_child(threads: &str) -> String {
 /// eviction interleaving.
 #[test]
 fn paged_backend_bit_identical_across_processes_and_threads() {
-    if std::env::var("BENCHTEMP_PAGED_CHILD").is_ok() {
+    if child::is_child() {
         return; // don't recurse inside a child process
     }
-    let single = run_child("1");
-    let quad = run_child("4");
+    let single = child::run_child("paged_child_worker", &[("BENCHTEMP_THREADS", "1")]);
+    let quad = child::run_child("paged_child_worker", &[("BENCHTEMP_THREADS", "4")]);
     assert_eq!(
         single, quad,
         "paged sampling/training must not depend on thread count"

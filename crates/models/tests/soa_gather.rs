@@ -1,18 +1,13 @@
-//! Byte-equivalence of the SoA frontier gather path against the scalar
-//! baselines it replaced.
+//! Byte-equivalence of the SoA frontier gather path against per-row
+//! reference gathers.
 //!
-//! The frontier engine now emits a pre-resolved `feat_idx` column and the
+//! The frontier engine emits a pre-resolved `feat_idx` column and the
 //! models gather features through `Tape::gather_rows_from` (pooled,
-//! run-length coalesced). Both changes are pure layout/execution moves, so
-//! this test pins them bitwise over a seeded grid of hop counts ×
-//! sampling strategies — with the index lists exactly as the frontier
-//! produces them, duplicates and masked (padded) slots included — against
-//! the per-slot event resolution and the allocating per-row gathers.
-//!
-//! `fusion::set_forced` is process-global, so every test flipping it holds
-//! [`FUSION_LOCK`] for its whole body.
-
-use std::sync::Mutex;
+//! run-length coalesced). Both are pure layout/execution choices, so this
+//! test pins them bitwise over a seeded grid of hop counts × sampling
+//! strategies — with the index lists exactly as the frontier produces them,
+//! duplicates and masked (padded) slots included — against the per-slot
+//! event resolution and a one-row-at-a-time copy loop.
 
 use benchtemp_core::pipeline::StreamContext;
 use benchtemp_graph::generators::GeneratorConfig;
@@ -20,9 +15,7 @@ use benchtemp_graph::neighbors::SamplingStrategy;
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_graph::NeighborFinder;
 use benchtemp_models::common::{NeighborBatch, NodeMemory};
-use benchtemp_tensor::{fusion, init, Graph, Matrix, ParamStore};
-
-static FUSION_LOCK: Mutex<()> = Mutex::new(());
+use benchtemp_tensor::{init, Graph, Matrix, ParamStore};
 
 const STRATS: [SamplingStrategy; 4] = [
     SamplingStrategy::MostRecent,
@@ -35,9 +28,17 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Reference gather: the bits of `src.row(i)` for each index, one row copy
+/// at a time.
+fn per_row_bits(src: &Matrix, indices: &[usize]) -> Vec<u32> {
+    indices
+        .iter()
+        .flat_map(|&i| src.row(i).iter().map(|v| v.to_bits()))
+        .collect()
+}
+
 #[test]
 fn frontier_gathers_match_scalar_baselines_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     let g = GeneratorConfig::small("soa-gather", 4021).generate();
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
     let ctx = StreamContext {
@@ -86,28 +87,19 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
                 saw_duplicate |= sorted.windows(2).any(|w| w[0] == w[1]);
 
                 let nb = NeighborBatch::from_hop(hop, k);
-                let node_base = bits(&nb.node_feats(&ctx));
-                let edge_base = bits(&nb.edge_feats(&ctx));
-                // The tape gathers must reproduce the scalar baselines
-                // bitwise in both fusion modes (coalesced pooled path and
-                // the allocating fallback).
-                for fused in [true, false] {
-                    fusion::set_forced(Some(fused));
-                    let mut gr = Graph::new(&store);
-                    let nv = nb.node_feats_var(&mut gr, &ctx);
-                    let ev = nb.edge_feats_var(&mut gr, &ctx);
-                    assert_eq!(
-                        bits(gr.value(nv)),
-                        node_base,
-                        "node feature gather diverged (hops={hops}, strat {si}, fused={fused})"
-                    );
-                    assert_eq!(
-                        bits(gr.value(ev)),
-                        edge_base,
-                        "edge feature gather diverged (hops={hops}, strat {si}, fused={fused})"
-                    );
-                    fusion::set_forced(None);
-                }
+                let mut gr = Graph::new(&store);
+                let nv = nb.node_feats_var(&mut gr, &ctx);
+                let ev = nb.edge_feats_var(&mut gr, &ctx);
+                assert_eq!(
+                    bits(gr.value(nv)),
+                    per_row_bits(&g.node_features, &nb.ids),
+                    "node feature gather diverged (hops={hops}, strat {si})"
+                );
+                assert_eq!(
+                    bits(gr.value(ev)),
+                    per_row_bits(&g.edge_features, &nb.feat_idx),
+                    "edge feature gather diverged (hops={hops}, strat {si})"
+                );
             }
         }
     }
@@ -117,7 +109,6 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
 
 #[test]
 fn memory_rows_var_matches_scalar_rows_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     let n = 64;
     let d = 24;
     let mut mem = NodeMemory::new(n, d);
@@ -130,16 +121,11 @@ fn memory_rows_var_matches_scalar_rows_bitwise() {
     let mut idx: Vec<usize> = vec![3, 3, 3, 17, 5, 6, 7, 8, 0, 63, 63, 2];
     idx.extend(40..52);
     let store = ParamStore::new();
-    let base = bits(&mem.rows(&idx));
-    for fused in [true, false] {
-        fusion::set_forced(Some(fused));
-        let mut gr = Graph::new(&store);
-        let mv = mem.rows_var(&mut gr, &idx);
-        assert_eq!(
-            bits(gr.value(mv)),
-            base,
-            "memory row gather diverged (fused={fused})"
-        );
-        fusion::set_forced(None);
-    }
+    let mut gr = Graph::new(&store);
+    let mv = mem.rows_var(&mut gr, &idx);
+    assert_eq!(
+        bits(gr.value(mv)),
+        per_row_bits(&values, &idx),
+        "memory row gather diverged"
+    );
 }

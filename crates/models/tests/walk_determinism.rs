@@ -8,8 +8,10 @@
 //! proves the property the fix restores: two separate processes (fresh
 //! `RandomState` each) hash the drained feature stream to the same bits.
 
+#[path = "../../core/tests/common/child.rs"]
+mod child;
+
 use std::collections::BTreeMap;
-use std::process::Command;
 
 use benchtemp_core::pipeline::StreamContext;
 use benchtemp_graph::generators::GeneratorConfig;
@@ -17,17 +19,6 @@ use benchtemp_graph::neighbors::{NeighborFinder, SamplingStrategy};
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_models::walks::{anonymize, position_counts, sample_walks};
 use benchtemp_tensor::init;
-
-/// FNV-1a over the drained feature stream — endian-stable and
-/// dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// The walk-feature pipeline a CAWN-style model runs per candidate edge,
 /// with the count maps drained in their iteration order — exactly the
@@ -73,45 +64,26 @@ fn walk_feature_digest() -> u64 {
             }
         }
     }
-    fnv1a(bytes.into_iter())
+    child::fnv1a(bytes.into_iter())
 }
 
 /// Child-process worker: prints the digest. Skipped unless spawned below.
 #[test]
 fn walk_child_worker() {
-    if std::env::var("BENCHTEMP_WALK_CHILD").is_err() {
+    if !child::is_child() {
         return;
     }
     println!("RESULT {:016x}", walk_feature_digest());
 }
 
-fn run_child() -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let out = Command::new(exe)
-        .args(["walk_child_worker", "--exact", "--nocapture"])
-        .env("BENCHTEMP_WALK_CHILD", "1")
-        .output()
-        .expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "walk child failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
-}
-
 /// Two fresh processes — two fresh `RandomState`s — one bit pattern.
 #[test]
 fn walk_features_bit_identical_across_processes() {
-    if std::env::var("BENCHTEMP_WALK_CHILD").is_ok() {
+    if child::is_child() {
         return; // don't recurse inside a child process
     }
-    let a = run_child();
-    let b = run_child();
+    let a = child::run_child("walk_child_worker", &[]);
+    let b = child::run_child("walk_child_worker", &[]);
     assert_eq!(
         a, b,
         "walk-feature emission order must not depend on RandomState"

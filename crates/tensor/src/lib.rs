@@ -24,8 +24,6 @@
 //! adam.step(&mut store, &grads);
 //! ```
 
-pub mod checkpoint;
-pub mod fusion;
 pub mod init;
 pub mod matrix;
 pub mod nn;
@@ -36,7 +34,6 @@ pub mod rng;
 pub mod sanitize;
 pub mod tape;
 
-pub use checkpoint::{load_checkpoint, save_checkpoint};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
 pub use params::{Graph, ParamId, ParamStore};

@@ -373,23 +373,9 @@ impl Matrix {
         self.data[0]
     }
 
-    /// Gather the listed rows into a new matrix (repeat indices allowed).
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            assert!(
-                src < self.rows,
-                "gather_rows: index {src} out of {} rows",
-                self.rows
-            );
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
-    /// Gather the listed rows into a preallocated `indices.len()×cols`
-    /// output, coalescing index runs into contiguous block copies — the
-    /// SoA fast path under the tape's pooled gather leaf.
+    /// Gather the listed rows (repeat indices allowed) into a preallocated
+    /// `indices.len()×cols` output, coalescing index runs into contiguous
+    /// block copies — the SoA path under the tape's pooled gather leaf.
     ///
     /// Frontier slot indices arrive with long structured stretches
     /// (ascending CSR neighbors, repeated node-0 padding), so instead of one
@@ -400,8 +386,8 @@ impl Matrix {
     /// [`PAR_FLOPS`] copied elements, contiguous run groups fan out across
     /// the worker pool under the claimed-slot protocol; every destination
     /// element is written by exactly one plain copy regardless of the
-    /// partition, so results are byte-identical to [`Matrix::gather_rows`]
-    /// at any thread count.
+    /// partition, so row `i` of the output is byte-for-byte
+    /// `self.row(indices[i])` at any thread count.
     ///
     /// Returns the coalesced run count — a pure function of `indices`
     /// (computed by one sequential scan, never of the thread partition), so
@@ -1080,10 +1066,20 @@ mod tests {
         assert!(Matrix::identity(2).matmul(&a).approx_eq(&a, 1e-7));
     }
 
+    /// Reference gather: one row copy per destination row.
+    fn per_row_gather(src: &Matrix, indices: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(indices.len(), src.cols());
+        for (dst, &i) in indices.iter().enumerate() {
+            out.row_mut(dst).copy_from_slice(src.row(i));
+        }
+        out
+    }
+
     #[test]
-    fn gather_rows_repeats_and_reorders() {
+    fn gather_rows_into_repeats_and_reorders() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
-        let g = a.gather_rows(&[2, 0, 2]);
+        let mut g = Matrix::zeros(3, 2);
+        a.gather_rows_into(&[2, 0, 2], &mut g);
         assert_eq!(
             g,
             Matrix::from_rows(&[&[3.0, 3.0], &[1.0, 1.0], &[3.0, 3.0]])
@@ -1104,7 +1100,7 @@ mod tests {
             vec![1, 2, 3, 3, 3, 7, 8, 0, 0, 36, 36, 1], // mixed runs
         ];
         for idx in &patterns {
-            let want = src.gather_rows(idx);
+            let want = per_row_gather(&src, idx);
             let mut got = Matrix::full(idx.len(), 13, f32::NAN);
             let runs = src.gather_rows_into(idx, &mut got);
             let want_bits: Vec<u32> = want.as_slice().iter().map(|x| x.to_bits()).collect();
@@ -1135,7 +1131,7 @@ mod tests {
             idx.extend((rep % 7)..(rep % 7) + 200); // ascending stretches
             idx.extend(std::iter::repeat_n(rep % 512, 56)); // repeated padding
         }
-        let want = src.gather_rows(&idx);
+        let want = per_row_gather(&src, &idx);
         let mut got = Matrix::full(idx.len(), 64, f32::NAN);
         let runs = src.gather_rows_into(&idx, &mut got);
         assert_eq!(runs, 34, "17 × (one ascending + one repeated run)");

@@ -204,21 +204,9 @@ impl TimeEncode {
         TimeEncode { omega, phase, dim }
     }
 
-    /// `dt` is an n×1 column of time deltas → n×dim encoding.
-    pub fn forward(&self, g: &mut Graph, dt: Var) -> Var {
-        debug_assert_eq!(g.shape(dt).1, 1, "TimeEncode: dt must be n×1");
-        let omega = g.param(self.omega);
-        let phase = g.param(self.phase);
-        let scaled = g.matmul(dt, omega);
-        let shifted = g.add_row_broadcast(scaled, phase);
-        g.cos(shifted)
-    }
-
-    /// Encode a plain slice of deltas through the fused
-    /// [`crate::tape::Tape::time_encode_fused`] op: one node instead of the
-    /// four-node leaf → matmul → broadcast → cos chain, with repeated Δt
-    /// rows memoized within the call. Bit-identical to [`TimeEncode::forward`]
-    /// over `Matrix::column(dts)`.
+    /// Encode a slice of n time deltas → n×dim, through the fused
+    /// [`crate::tape::Tape::time_encode_fused`] op: one node, with repeated
+    /// Δt rows memoized within the call.
     pub fn forward_slice(&self, g: &mut Graph, dts: &[f32]) -> Var {
         let omega = g.param(self.omega);
         let phase = g.param(self.phase);
@@ -269,11 +257,9 @@ impl MultiHeadAttention {
 
     /// `query` n×query_dim; `keys` (n·group)×key_dim; `mask` row-validity.
     ///
-    /// All heads run inside one fused [`Op::MultiHeadGroupedAttention`] node
-    /// reading strided per-head views of the packed Q/K/V projections — no
-    /// per-head `slice_cols` copies, per-head attention nodes, or
-    /// `concat_cols_many`. With fusion disabled the tape emits exactly that
-    /// per-head chain, bit-identically.
+    /// All heads run inside one fused
+    /// [`crate::tape::Tape::multi_head_grouped_attention`] node reading
+    /// strided per-head views of the packed Q/K/V projections.
     pub fn forward(
         &self,
         g: &mut Graph,

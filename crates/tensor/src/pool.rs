@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -136,13 +136,23 @@ impl ThreadPool {
         // Otherwise spawn exactly `workers`: the caller blocks while a batch
         // runs, so the workers own all the compute.
         if workers > 1 {
+            // std's per-thread start-up allocates on the new thread. Return
+            // only once every worker is past it, so a worker that is slow to
+            // get scheduled cannot allocate later, in the middle of a
+            // caller's steady-state (zero-allocation) window.
+            let started = Arc::new(Barrier::new(workers + 1));
             for i in 0..workers {
                 let q = Arc::clone(&queue);
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("benchtemp-pool-{i}"))
-                    .spawn(move || worker_loop(q))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(q)
+                    })
                     .expect("spawn pool worker");
             }
+            started.wait();
         }
         Self {
             queue,

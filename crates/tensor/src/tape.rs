@@ -8,7 +8,10 @@
 //!
 //! The design trades generality for auditability: each op's backward rule is
 //! a hand-derived match arm, and every rule is checked against finite
-//! differences in the test suite.
+//! differences in the test suite. The fused ops (`linear_affine`,
+//! `time_encode_fused`, `multi_head_grouped_attention`, `gather_rows_from`)
+//! are also pinned bit-for-bit against reference compositions over plain
+//! [`Matrix`] kernels in `tests/fused_equivalence.rs`.
 
 // audit-allow-file(hot-path-alloc-reachability): forward ops allocate their
 // output node's storage by design (one arena push per op), and the parallel
@@ -67,24 +70,11 @@ enum Op {
     MeanRows(usize),
     SumRows(usize),
     RowSums(usize),
-    AddRowBroadcast(usize, usize),
     MulColBroadcast(usize, usize),
     ConcatCols(usize, usize),
     ConcatRows(usize, usize),
-    GatherRows(usize, Vec<usize>),
-    SliceCols(usize, usize, usize),
     Dropout(usize, Vec<f32>),
     SliceRows(usize, usize, usize),
-    GroupedAttention {
-        q: usize,
-        k: usize,
-        v: usize,
-        group: usize,
-        scale: f32,
-        /// Saved softmax weights, one `group`-sized block per query row
-        /// (pool-granted n×group matrix, recycled at reset).
-        weights: Matrix,
-    },
     /// Fused multi-head grouped attention — see
     /// [`Tape::multi_head_grouped_attention`]. One node per layer consumes
     /// the packed Q/K/V projections through strided per-head views; the
@@ -284,8 +274,7 @@ impl Tape {
                     let (r, c) = dts.shape();
                     self.pool.put(r, c, dts.into_vec());
                 }
-                Op::GroupedAttention { weights, .. }
-                | Op::MultiHeadGroupedAttention { weights, .. } => {
+                Op::MultiHeadGroupedAttention { weights, .. } => {
                     let (r, c) = weights.shape();
                     self.pool.put(r, c, weights.into_vec());
                 }
@@ -540,22 +529,6 @@ impl Tape {
 
     // ---- broadcasting ----------------------------------------------------
 
-    /// `a (n×m) + b (1×m)` broadcast over rows (bias add).
-    pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        let shape = self.shape(a);
-        let mut out = self.alloc_raw(shape.0, shape.1);
-        let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(bm.rows(), 1, "add_row_broadcast: b must be 1×m");
-        assert_eq!(am.cols(), bm.cols(), "add_row_broadcast: width mismatch");
-        out.copy_from(am);
-        for r in 0..out.rows() {
-            for (o, &x) in out.row_mut(r).iter_mut().zip(bm.row(0)) {
-                *o += x;
-            }
-        }
-        self.push(out, Op::AddRowBroadcast(a.0, b.0))
-    }
-
     /// `a (n×m) * c (n×1)` broadcast over columns (row-wise scaling).
     pub fn mul_col_broadcast(&mut self, a: Var, c: Var) -> Var {
         let shape = self.shape(a);
@@ -607,32 +580,15 @@ impl Tape {
         self.push(out, Op::ConcatRows(a.0, b.0))
     }
 
-    /// Gather rows (embedding lookup); backward scatter-adds.
-    pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let (rows, cols) = self.shape(a);
-        let mut out = self.alloc_raw(indices.len(), cols);
-        let m = &self.nodes[a.0].value;
-        for (dst, &src) in indices.iter().enumerate() {
-            assert!(src < rows, "gather_rows: index {src} out of {rows} rows");
-            out.row_mut(dst).copy_from_slice(m.row(src));
-        }
-        self.push(out, Op::GatherRows(a.0, indices.to_vec()))
-    }
-
     /// Pooled SoA gather leaf: rows of an external matrix (node/edge
     /// feature tables, memory states) land in one pool-granted buffer via
     /// run-length-coalesced contiguous copies
-    /// ([`Matrix::gather_rows_into`]), replacing the per-element scalar
-    /// gather + `leaf` pair the models used to build. Each destination row
-    /// is byte-for-byte the source row, so coalescing cannot change bits;
-    /// the run count is a pure function of the index list and is ticked
-    /// into `tape.gather_coalesced_runs`. Like `gather_rows` on a leaf,
-    /// no gradient flows to `src`. With fusion disabled it emits exactly
-    /// the allocating scalar path.
+    /// ([`Matrix::gather_rows_into`]). Each destination row is
+    /// byte-for-byte the source row, so coalescing cannot change bits; the
+    /// run count is a pure function of the index list and is ticked into
+    /// `tape.gather_coalesced_runs`. The result is a leaf: no gradient
+    /// flows to `src`.
     pub fn gather_rows_from(&mut self, src: &Matrix, indices: &[usize]) -> Var {
-        if !crate::fusion::enabled() {
-            return self.leaf(src.gather_rows(indices));
-        }
         let _span = benchtemp_obs::span("gather");
         let mut out = self.alloc_raw(indices.len(), src.cols());
         let runs = src.gather_rows_into(indices, &mut out);
@@ -643,21 +599,6 @@ impl Tape {
         // same pattern as `leaf_copied`.
         self.absorbed_since_reset += 1;
         self.push(out, Op::Leaf)
-    }
-
-    /// Column slice `[start, end)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let (rows, cols) = self.shape(a);
-        assert!(
-            start < end && end <= cols,
-            "slice_cols: bad range {start}..{end}"
-        );
-        let mut out = self.alloc_raw(rows, end - start);
-        let m = &self.nodes[a.0].value;
-        for r in 0..rows {
-            out.row_mut(r).copy_from_slice(&m.row(r)[start..end]);
-        }
-        self.push(out, Op::SliceCols(a.0, start, end))
     }
 
     /// Row slice `[start, end)` — one contiguous copy of the row range; the
@@ -701,87 +642,23 @@ impl Tape {
 
     // ---- fused attention --------------------------------------------------
 
-    /// Fused grouped scaled-dot-product attention.
-    ///
-    /// Query rows attend over fixed-size neighbor groups: `q` is n×d, `k` and
-    /// `v` are (n·group)×d / (n·group)×dv, where rows `i·group .. (i+1)·group`
-    /// of `k`/`v` are the candidates for query `i`. `mask[i*group+j] = false`
-    /// excludes a padded neighbor. Rows whose mask is entirely false produce a
-    /// zero output (and zero gradient), matching "no valid temporal neighbors".
-    pub fn grouped_attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        group: usize,
-        mask: &[bool],
-    ) -> Var {
-        let (n, d) = self.shape(q);
-        let dv = self.shape(v).1;
-        let mut out = self.alloc_zeroed(n, dv);
-        let mut weights = self.alloc_raw(n, group);
-        let scale = 1.0 / (d as f32).sqrt();
-        {
-            let (qm, km, vm) = (
-                &self.nodes[q.0].value,
-                &self.nodes[k.0].value,
-                &self.nodes[v.0].value,
-            );
-            assert_eq!(km.rows(), n * group, "grouped_attention: k rows != n*group");
-            assert_eq!(vm.rows(), n * group, "grouped_attention: v rows != n*group");
-            assert_eq!(km.cols(), d, "grouped_attention: k width != q width");
-            assert_eq!(mask.len(), n * group, "grouped_attention: mask length");
-            run_attention_rows(
-                qm,
-                km,
-                vm,
-                1,
-                group,
-                d,
-                dv,
-                scale,
-                mask,
-                &mut out,
-                &mut weights,
-            );
-        }
-        // Two pool-granted matrices live in this node (output + saved
-        // softmax weights); `push` only counts the output, so balance the
-        // second.
-        self.absorbed_since_reset += 1;
-        self.push(
-            out,
-            Op::GroupedAttention {
-                q: q.0,
-                k: k.0,
-                v: v.0,
-                group,
-                scale,
-                weights,
-            },
-        )
-    }
-
     /// Fused multi-head grouped attention: every head of one attention
     /// layer in a single tape node.
     ///
     /// `q` is n×model_dim and `k`/`v` are (n·group)×model_dim — the packed
     /// projections, consumed through strided per-head column views
-    /// (`[h·hd, (h+1)·hd)` of each row, `hd = model_dim/heads`) instead of
-    /// the `3×heads` `slice_cols` buffer copies the per-head chain makes.
-    /// Head outputs land directly in their column stripe of the output, so
-    /// the `concat_cols_many` disappears too, and the hand-derived backward
-    /// writes each head's stripe straight into the shared Q/K/V gradient
-    /// buffers.
+    /// (`[h·hd, (h+1)·hd)` of each row, `hd = model_dim/heads`) with no
+    /// per-head copies. Rows `i·group .. (i+1)·group` of `k`/`v` are the
+    /// candidates for query `i`; `mask[i*group+j] = false` excludes a padded
+    /// neighbor, and a row whose mask is entirely false produces a zero
+    /// output (and zero gradient) — "no valid temporal neighbors".
     ///
-    /// Bit-identical to the unfused per-head chain (`slice_cols`×3 →
-    /// `grouped_attention` per head → `concat_cols_many`): each head's
-    /// scores, softmax, and accumulation run the same floating-point
-    /// operation order over the same values, stripes are disjoint, and a
-    /// `+=` accumulation from a zeroed buffer never produces `-0.0`, so the
-    /// unfused chain's cross-head gradient `add_assign` of disjoint-stripe
-    /// zero matrices is an exact no-op (see DESIGN.md §12). With fusion
-    /// disabled it emits exactly that chain.
+    /// Head outputs land directly in their column stripe of the output, and
+    /// the hand-derived backward writes each head's stripe straight into
+    /// the shared Q/K/V gradient buffers. Heads are independent: each head's
+    /// scores, softmax, and accumulation see only its own stripe, so the
+    /// result equals `heads` single-head calls on the column-sliced inputs
+    /// stitched back together, bit for bit (see DESIGN.md §12).
     pub fn multi_head_grouped_attention(
         &mut self,
         q: Var,
@@ -796,19 +673,6 @@ impl Tape {
             heads > 0 && model_dim.is_multiple_of(heads),
             "multi_head_grouped_attention: model_dim must divide by heads"
         );
-        if !crate::fusion::enabled() {
-            let head_dim = model_dim / heads;
-            let mut head_outs = Vec::with_capacity(heads);
-            for h in 0..heads {
-                let lo = h * head_dim;
-                let hi = lo + head_dim;
-                let qh = self.slice_cols(q, lo, hi);
-                let kh = self.slice_cols(k, lo, hi);
-                let vh = self.slice_cols(v, lo, hi);
-                head_outs.push(self.grouped_attention(qh, kh, vh, group, mask));
-            }
-            return self.concat_cols_many(&head_outs);
-        }
         let hd = model_dim / heads;
         let mut out = self.alloc_zeroed(n, model_dim);
         let mut weights = self.alloc_raw(n, heads * group);
@@ -851,7 +715,6 @@ impl Tape {
                 heads,
                 group,
                 hd,
-                hd,
                 scale,
                 mask,
                 &mut out,
@@ -879,23 +742,11 @@ impl Tape {
     // ---- fused affine & time encoding -------------------------------------
 
     /// Fused `act(x·w + b)`: matmul, row-bias broadcast, and activation in
-    /// one node and one output buffer, with a fused backward. Bit-identical
-    /// to the chain `matmul` → `add_row_broadcast` → activation — the same
-    /// matmul kernel fills the buffer and the epilogue applies
-    /// `act(xw + b[j])` in the same per-element order the separate ops
-    /// would (see DESIGN.md §11). With fusion disabled (`BENCHTEMP_FUSION=0`
-    /// or [`crate::fusion::set_forced`]) it emits exactly that chain.
+    /// one node and one output buffer, with a hand-derived backward. The
+    /// [`Matrix::matmul_into`] kernel fills the buffer and the epilogue
+    /// applies `act(xw + b[j])` per element, so every output is exactly
+    /// `act(matmul(x, w)[i][j] + b[j])` (see DESIGN.md §11).
     pub fn linear_affine(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
-        if !crate::fusion::enabled() {
-            let xw = self.matmul(x, w);
-            let t = self.add_row_broadcast(xw, b);
-            return match act {
-                Activation::None => t,
-                Activation::Relu => self.relu(t),
-                Activation::Sigmoid => self.sigmoid(t),
-                Activation::Tanh => self.tanh(t),
-            };
-        }
         let (m, _) = self.shape(x);
         let n = self.shape(w).1;
         let mut out = self.alloc_raw(m, n);
@@ -926,25 +777,15 @@ impl Tape {
     }
 
     /// Fused time encoding `cos(dt·ω + φ)` over a Δt slice: the outer
-    /// product (n×1 · 1×d), bias broadcast, and cosine collapse into one
-    /// node, replacing the four-node chain `leaf(column)` → `matmul` →
-    /// `add_row_broadcast` → `cos`. Per element the fused pass computes
-    /// `cos((0 + dt·ω_j) + φ_j)` — exactly the k=1 matmul accumulation
-    /// followed by the broadcast add and `cos`, so the result is
-    /// bit-identical to the unfused chain (emitted verbatim when fusion is
-    /// off).
+    /// product (n×1 · 1×d), bias broadcast, and cosine in one node. Per
+    /// element it computes `cos((0 + dt·ω_j) + φ_j)` — the k=1 matmul
+    /// accumulation, then the broadcast add, then `cos`.
     ///
     /// Temporal batches repeat Δt values heavily, so rows are memoized by
     /// Δt bit pattern within the call: a repeated Δt copies the
     /// already-computed row, which is trivially bit-identical because the
     /// row is a function of `(dt, ω, φ)` alone.
     pub fn time_encode_fused(&mut self, dts: &[f32], omega: Var, phase: Var) -> Var {
-        if !crate::fusion::enabled() {
-            let col = self.leaf(Matrix::column(dts));
-            let mm = self.matmul(col, omega);
-            let t = self.add_row_broadcast(mm, phase);
-            return self.cos(t);
-        }
         let n = dts.len();
         let d = self.shape(omega).1;
         let mut out = self.alloc_raw(n, d);
@@ -1193,16 +1034,6 @@ impl Tape {
                 }
                 bump(*a, dx);
             }
-            Op::AddRowBroadcast(a, b) => {
-                bump(*a, g.clone());
-                let mut db = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *o += x;
-                    }
-                }
-                bump(*b, db);
-            }
             Op::MulColBroadcast(a, c) => {
                 let cm = &self.nodes[*c].value;
                 let am = &self.nodes[*a].value;
@@ -1247,24 +1078,6 @@ impl Tape {
                 bump(*a, da);
                 bump(*b, db);
             }
-            Op::GatherRows(a, indices) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                let mut dx = Matrix::zeros(r, c);
-                for (gr, &src) in indices.iter().enumerate() {
-                    for (o, &x) in dx.row_mut(src).iter_mut().zip(g.row(gr)) {
-                        *o += x;
-                    }
-                }
-                bump(*a, dx);
-            }
-            Op::SliceCols(a, start, _end) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                let mut dx = Matrix::zeros(r, c);
-                for rr in 0..r {
-                    dx.row_mut(rr)[*start..*start + g.cols()].copy_from_slice(g.row(rr));
-                }
-                bump(*a, dx);
-            }
             Op::SliceRows(a, start, _end) => {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
@@ -1278,64 +1091,6 @@ impl Tape {
                 }
                 bump(*a, dx);
             }
-            Op::GroupedAttention {
-                q,
-                k,
-                v,
-                group,
-                scale,
-                weights,
-            } => {
-                let qm = &self.nodes[*q].value;
-                let km = &self.nodes[*k].value;
-                let vm = &self.nodes[*v].value;
-                let n = qm.rows();
-                let d = qm.cols();
-                let mut dq = Matrix::zeros(n, d);
-                let mut dk = Matrix::zeros(km.rows(), d);
-                let mut dv = Matrix::zeros(vm.rows(), vm.cols());
-                let mut da = vec![0.0f32; *group];
-                let wts = weights.as_slice();
-                #[allow(clippy::needless_range_loop)] // indices mirror the math
-                for i in 0..n {
-                    let g_row = g.row(i);
-                    // dv_{ij} = a_j * g_i;  da_j = g_i · v_{ij}
-                    let mut a_dot_da = 0.0f32;
-                    for j in 0..*group {
-                        let idx = i * group + j;
-                        let w = wts[idx];
-                        da[j] = g_row
-                            .iter()
-                            .zip(vm.row(idx))
-                            .map(|(&gg, &vv)| gg * vv)
-                            .sum();
-                        a_dot_da += w * da[j];
-                        if w != 0.0 {
-                            for (o, &gg) in dv.row_mut(idx).iter_mut().zip(g_row) {
-                                *o += w * gg;
-                            }
-                        }
-                    }
-                    // ds_j = a_j (da_j - Σ a_l da_l); dq += scale Σ ds_j k_j; dk_j += scale ds_j q
-                    for j in 0..*group {
-                        let idx = i * group + j;
-                        let w = wts[idx];
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let ds = w * (da[j] - a_dot_da) * scale;
-                        for (o, &kk) in dq.row_mut(i).iter_mut().zip(km.row(idx)) {
-                            *o += ds * kk;
-                        }
-                        for (o, &qq) in dk.row_mut(idx).iter_mut().zip(qm.row(i)) {
-                            *o += ds * qq;
-                        }
-                    }
-                }
-                bump(*q, dq);
-                bump(*k, dk);
-                bump(*v, dv);
-            }
             Op::MultiHeadGroupedAttention {
                 q,
                 k,
@@ -1345,15 +1100,11 @@ impl Tape {
                 scale,
                 weights,
             } => {
-                // Per head this is exactly the GroupedAttention backward
-                // above, applied to the `[h·hd, (h+1)·hd)` column stripe of
-                // every packed row and writing straight into the shared
-                // gradient buffers. In the unfused chain each head's
-                // contribution is a disjoint column stripe padded with
-                // zeros and summed across heads; because `+=` accumulation
-                // from a zeroed buffer never yields `-0.0`, adding those
-                // zero stripes is an exact no-op, so direct stripe writes
-                // are bit-identical (DESIGN.md §12).
+                // Single-head attention backward applied to the
+                // `[h·hd, (h+1)·hd)` column stripe of every packed row,
+                // writing straight into the shared gradient buffers. Stripes
+                // are disjoint, so each gradient element has one writer and
+                // equals the single-head gradient of its head (DESIGN.md §12).
                 let qm = &self.nodes[*q].value;
                 let km = &self.nodes[*k].value;
                 let vm = &self.nodes[*v].value;
@@ -1420,10 +1171,8 @@ impl Tape {
                 let y = &node.value;
                 let (m, n) = y.shape();
                 // gp = g ⊙ act'(y), the derivative taken from the *output*
-                // exactly as the unfused activation nodes compute it (for
-                // ReLU, y > 0 ⟺ pre-activation > 0, so the output test is
-                // bitwise equal to the unfused pre-activation test; sigmoid
-                // and tanh backward already read the output). Row-parallel
+                // (for ReLU, y > 0 ⟺ pre-activation > 0; sigmoid and tanh
+                // derivatives are functions of the output). Row-parallel
                 // through the claimed pool partition — each element is
                 // written once, so worker count cannot change bits.
                 let gp_owned: Option<Matrix> = match act {
@@ -1460,8 +1209,7 @@ impl Tape {
                     }
                 };
                 let gp: &Matrix = gp_owned.as_ref().unwrap_or(g);
-                // Bias first: the unfused reverse walk reaches the broadcast
-                // node before the matmul node. Same column-sum loop order.
+                // db is the column sum of gp, accumulated row by row.
                 let mut db = Matrix::zeros(1, n);
                 for r in 0..m {
                     for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
@@ -1493,12 +1241,9 @@ impl Tape {
                         *o = -g.get(r, j) * s.sin();
                     }
                 });
-                // Phase first (broadcast node precedes the matmul node in
-                // the unfused reverse walk), then ω through the exact
-                // `transpose_matmul` kernel the unfused matmul backward
-                // uses. The Δt column is a non-trainable leaf in the
-                // unfused chain, so its gradient is never queried and the
-                // fused op skips computing it.
+                // dφ is the column sum of gs; dω = dtᵀ·gs through the
+                // `transpose_matmul` kernel. Δt is data, not a parameter,
+                // so no gradient is computed for it.
                 let mut dph = Matrix::zeros(1, d);
                 for r in 0..n {
                     for (o, &v) in dph.row_mut(0).iter_mut().zip(gs.row(r)) {
@@ -1587,8 +1332,7 @@ pub(crate) fn stable_sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Forward pass of grouped attention over the query rows, shared by the
-/// fused multi-head node and the single-head op (`heads = 1`): per-row
+/// Forward pass of multi-head grouped attention over the query rows: per-row
 /// blocked-dot scores written into the softmax-weight row segment, in-place
 /// softmax, and the value accumulation into the head's output stripe. Above
 /// [`crate::matrix::PAR_FLOPS`] of work, contiguous row slabs fan out
@@ -1604,8 +1348,7 @@ fn run_attention_rows(
     vm: &Matrix,
     heads: usize,
     group: usize,
-    dk: usize,
-    dv: usize,
+    hd: usize,
     scale: f32,
     mask: &[bool],
     out: &mut Matrix,
@@ -1616,10 +1359,10 @@ fn run_attention_rows(
     if n == 0 {
         return;
     }
-    let out_w = heads * dv;
+    let out_w = heads * hd;
     let w_w = heads * group;
-    // Score + accumulate flops per query row ≈ 2·group·heads·(dk + dv).
-    let work = 2 * n * group * heads * (dk + dv);
+    // Score + accumulate flops per query row ≈ 4·group·heads·hd.
+    let work = 4 * n * group * heads * hd;
     let p = crate::pool::pool();
     if work < crate::matrix::PAR_FLOPS || p.threads() == 1 || n == 1 {
         attention_rows_kernel(
@@ -1628,8 +1371,7 @@ fn run_attention_rows(
             vm,
             heads,
             group,
-            dk,
-            dv,
+            hd,
             scale,
             mask,
             0,
@@ -1653,8 +1395,7 @@ fn run_attention_rows(
                     vm,
                     heads,
                     group,
-                    dk,
-                    dv,
+                    hd,
                     scale,
                     mask,
                     c * rows_per,
@@ -1706,15 +1447,14 @@ fn attention_rows_kernel(
     vm: &Matrix,
     heads: usize,
     group: usize,
-    dk: usize,
-    dv: usize,
+    hd: usize,
     scale: f32,
     mask: &[bool],
     first: usize,
     out_block: &mut [f32],
     w_block: &mut [f32],
 ) {
-    let out_w = heads * dv;
+    let out_w = heads * hd;
     let w_w = heads * group;
     for (r, (out_row, w_row)) in out_block
         .chunks_mut(out_w)
@@ -1724,13 +1464,13 @@ fn attention_rows_kernel(
         let i = first + r;
         let q_row = qm.row(i);
         for h in 0..heads {
-            let q_sub = &q_row[h * dk..(h + 1) * dk];
+            let q_sub = &q_row[h * hd..(h + 1) * hd];
             let w_seg = &mut w_row[h * group..(h + 1) * group];
             #[allow(clippy::needless_range_loop)] // indices mirror the math
             for j in 0..group {
                 let idx = i * group + j;
                 w_seg[j] = if mask[idx] {
-                    crate::matrix::dot(q_sub, &km.row(idx)[h * dk..(h + 1) * dk]) * scale
+                    crate::matrix::dot(q_sub, &km.row(idx)[h * hd..(h + 1) * hd]) * scale
                 } else {
                     f32::NEG_INFINITY
                 };
@@ -1739,12 +1479,12 @@ fn attention_rows_kernel(
             // leaving the (pre-zeroed) output row untouched — "no valid
             // temporal neighbors" contributes nothing forward or backward.
             softmax_inplace(w_seg);
-            let out_seg = &mut out_row[h * dv..(h + 1) * dv];
+            let out_seg = &mut out_row[h * hd..(h + 1) * hd];
             for (j, &w) in w_seg.iter().enumerate() {
                 if w == 0.0 {
                     continue;
                 }
-                let v_sub = &vm.row(i * group + j)[h * dv..(h + 1) * dv];
+                let v_sub = &vm.row(i * group + j)[h * hd..(h + 1) * hd];
                 for (o, &x) in out_seg.iter_mut().zip(v_sub) {
                     *o += w * x;
                 }

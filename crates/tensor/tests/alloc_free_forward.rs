@@ -3,11 +3,13 @@
 //! building a [`Graph`], binding parameters, and running a fused
 //! `Linear→ReLU→Linear` forward must perform no heap allocations at all.
 //!
-//! Verified with a counting global allocator. This file holds exactly one
-//! test so no sibling test thread can allocate concurrently and pollute the
-//! counter.
+//! Verified with a counting global allocator that counts calls on every
+//! thread (pool workers included); failures also report how many came from
+//! threads other than the test thread. This file holds exactly one test so
+//! no sibling test thread can allocate concurrently and pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use benchtemp_tensor::nn::{Mlp, MultiHeadAttention};
@@ -16,15 +18,31 @@ use benchtemp_tensor::{init, Graph, Matrix, ParamStore};
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+/// The subset of `ALLOC_CALLS` made by threads other than the test thread.
+static OFF_THREAD_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the test thread. A `const`-initialized `Cell<bool>` needs no
+    /// lazy init and no destructor, so reading it cannot allocate.
+    static TEST_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_call() {
+    ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+    if !TEST_THREAD.with(Cell::get) {
+        OFF_THREAD_CALLS.fetch_add(1, Ordering::SeqCst);
+    }
+}
 
 // SAFETY: pure pass-through to `System`, which upholds every GlobalAlloc
-// contract; the only addition is an atomic counter bump, which allocates
-// nothing and cannot unwind.
+// contract; the only additions are atomic counter bumps and a read of a
+// const-initialized thread-local `Cell<bool>`, none of which allocates or
+// can unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's layout preconditions; delegated
     // verbatim to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_call();
         System.alloc(layout)
     }
 
@@ -32,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // (we always delegate to `System`), so forwarding to `System.realloc`
     // preserves its contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -48,6 +66,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_forward_is_allocation_free_after_warmup() {
+    TEST_THREAD.with(|t| t.set(true));
     let mut store = ParamStore::new();
     let mut rng = init::rng(11);
     let mlp = Mlp::new(&mut store, &mut rng, "steady", 8, 16, 4);
@@ -75,16 +94,18 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
     );
 
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let off_before = OFF_THREAD_CALLS.load(Ordering::SeqCst);
     let mut measured = 0.0f32;
     for _ in 0..10 {
         measured += step(&store, &x);
     }
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let off = OFF_THREAD_CALLS.load(Ordering::SeqCst) - off_before;
     assert!(measured.is_finite());
     assert_eq!(
         after - before,
         0,
-        "steady-state forward allocated {} times after warm-up",
+        "steady-state forward allocated {} times after warm-up ({off} off the test thread)",
         after - before
     );
 
@@ -116,16 +137,18 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
     assert!(warm_att.is_finite());
 
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let off_before = OFF_THREAD_CALLS.load(Ordering::SeqCst);
     let mut measured_att = 0.0f32;
     for _ in 0..10 {
         measured_att += att_step(&astore, &query, &keys, &mask);
     }
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let off = OFF_THREAD_CALLS.load(Ordering::SeqCst) - off_before;
     assert!(measured_att.is_finite());
     assert_eq!(
         after - before,
         0,
-        "steady-state attention forward allocated {} times after warm-up",
+        "steady-state attention forward allocated {} times after warm-up ({off} off the test thread)",
         after - before
     );
 
@@ -150,16 +173,18 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
     assert!(warm_gather.is_finite());
 
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let off_before = OFF_THREAD_CALLS.load(Ordering::SeqCst);
     let mut measured_gather = 0.0f32;
     for _ in 0..10 {
         measured_gather += gather_step(&store, &table, &idx);
     }
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let off = OFF_THREAD_CALLS.load(Ordering::SeqCst) - off_before;
     assert!(measured_gather.is_finite());
     assert_eq!(
         after - before,
         0,
-        "steady-state gather+forward allocated {} times after warm-up",
+        "steady-state gather+forward allocated {} times after warm-up ({off} off the test thread)",
         after - before
     );
 }

@@ -5,7 +5,7 @@
 //! tape gradient of each input entry against the central finite difference.
 
 use benchtemp_tensor::init::{self, SeededRng};
-use benchtemp_tensor::tape::Var;
+use benchtemp_tensor::tape::{Activation, Var};
 use benchtemp_tensor::{Matrix, Tape};
 
 /// Builds the scalar loss for a given set of input values.
@@ -155,12 +155,6 @@ check_binary!(grad_matmul, matmul, mat(3, 4, 26), mat(4, 2, 27));
 check_binary!(grad_concat_cols, concat_cols, mat(3, 2, 28), mat(3, 3, 29));
 check_binary!(grad_concat_rows, concat_rows, mat(2, 3, 30), mat(4, 3, 31));
 check_binary!(
-    grad_add_row_broadcast,
-    add_row_broadcast,
-    mat(3, 4, 32),
-    mat(1, 4, 33)
-);
-check_binary!(
     grad_mul_col_broadcast,
     mul_col_broadcast,
     mat(3, 4, 34),
@@ -177,36 +171,6 @@ fn grad_scale_and_add_scalar() {
             let y = t.scale(x, 2.5);
             let z = t.add_scalar(y, -0.3);
             let loss = weighted_sum(t, z, &mut init::rng(99));
-            (vec![x], loss)
-        },
-        2e-2,
-    );
-}
-
-#[test]
-fn grad_gather_rows_with_repeats() {
-    gradcheck(
-        "gather_rows",
-        &[mat(4, 3, 41)],
-        &|t, ins| {
-            let x = t.leaf(ins[0].clone());
-            let y = t.gather_rows(x, &[0, 2, 2, 3]);
-            let loss = weighted_sum(t, y, &mut init::rng(99));
-            (vec![x], loss)
-        },
-        2e-2,
-    );
-}
-
-#[test]
-fn grad_slice_cols() {
-    gradcheck(
-        "slice_cols",
-        &[mat(3, 5, 42)],
-        &|t, ins| {
-            let x = t.leaf(ins[0].clone());
-            let y = t.slice_cols(x, 1, 4);
-            let loss = weighted_sum(t, y, &mut init::rng(99));
             (vec![x], loss)
         },
         2e-2,
@@ -238,28 +202,6 @@ fn grad_softmax_cross_entropy() {
             (vec![x], loss)
         },
         2e-2,
-    );
-}
-
-#[test]
-fn grad_grouped_attention() {
-    // 2 queries, group of 3, one masked slot.
-    let q = mat(2, 4, 45);
-    let k = mat(6, 4, 46);
-    let v = mat(6, 3, 47);
-    let mask = vec![true, true, false, true, true, true];
-    gradcheck(
-        "grouped_attention",
-        &[q, k, v],
-        &move |t, ins| {
-            let q = t.leaf(ins[0].clone());
-            let k = t.leaf(ins[1].clone());
-            let v = t.leaf(ins[2].clone());
-            let y = t.grouped_attention(q, k, v, 3, &mask);
-            let loss = weighted_sum(t, y, &mut init::rng(99));
-            (vec![q, k, v], loss)
-        },
-        3e-2,
     );
 }
 
@@ -302,6 +244,89 @@ fn grad_slice_rows() {
     );
 }
 
+/// `linear_affine(x, w, b, act)` with `x`, `w` and `b` all perturbed.
+fn check_linear_affine(act: Activation, x: Matrix, w: Matrix, b: Matrix) {
+    gradcheck(
+        &format!("linear_affine({act:?})"),
+        &[x, w, b],
+        &move |t, ins| {
+            let x = t.leaf(ins[0].clone());
+            let w = t.leaf(ins[1].clone());
+            let b = t.leaf(ins[2].clone());
+            let y = t.linear_affine(x, w, b, act);
+            let loss = weighted_sum(t, y, &mut init::rng(99));
+            (vec![x, w, b], loss)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_linear_affine_identity() {
+    check_linear_affine(
+        Activation::None,
+        mat(3, 4, 60),
+        mat(4, 5, 61),
+        mat(1, 5, 62),
+    );
+}
+
+#[test]
+fn grad_linear_affine_sigmoid() {
+    check_linear_affine(
+        Activation::Sigmoid,
+        mat(3, 4, 63),
+        mat(4, 5, 64),
+        mat(1, 5, 65),
+    );
+}
+
+#[test]
+fn grad_linear_affine_tanh() {
+    check_linear_affine(
+        Activation::Tanh,
+        mat(3, 4, 66),
+        mat(4, 5, 67),
+        mat(1, 5, 68),
+    );
+}
+
+#[test]
+fn grad_linear_affine_relu_away_from_kink() {
+    // Inputs in [0.5, 1]; columns of `w` alternate between [0.2, 1] and
+    // [-1, -0.2]; |b| ≤ 0.05. Every pre-activation then has its column's
+    // sign and magnitude ≥ 4·0.5·0.2 − 0.05 = 0.35, far beyond what a 1e-2
+    // perturbation can move, and both ReLU branches are exercised.
+    let x = init::uniform(3, 4, 0.5, 1.0, &mut init::rng(69));
+    let mut w = init::uniform(4, 5, 0.2, 1.0, &mut init::rng(70));
+    for r in 0..4 {
+        for c in (1..5).step_by(2) {
+            w.set(r, c, -w.get(r, c));
+        }
+    }
+    let b = init::uniform(1, 5, -0.05, 0.05, &mut init::rng(71));
+    check_linear_affine(Activation::Relu, x, w, b);
+}
+
+#[test]
+fn grad_time_encode_fused_with_duplicate_dts() {
+    // Repeated Δt rows are served from the forward's memo; the finite
+    // differences see every row, so a memo serving a wrong row shows up.
+    let dts = [0.5f32, 1.25, 0.5, 3.0, 1.25, 0.5];
+    gradcheck(
+        "time_encode_fused",
+        &[mat(1, 4, 72), mat(1, 4, 73)],
+        &move |t, ins| {
+            let omega = t.leaf(ins[0].clone());
+            let phase = t.leaf(ins[1].clone());
+            let y = t.time_encode_fused(&dts, omega, phase);
+            let loss = weighted_sum(t, y, &mut init::rng(99));
+            (vec![omega, phase], loss)
+        },
+        2e-2,
+    );
+}
+
 #[test]
 fn grad_composite_expression() {
     // A deeper graph mixing many ops: tanh(A·B + bias) ⊙ sigmoid(A) pooled.
@@ -315,9 +340,7 @@ fn grad_composite_expression() {
             let a = t.leaf(ins[0].clone());
             let b = t.leaf(ins[1].clone());
             let bias = t.leaf(ins[2].clone());
-            let ab = t.matmul(a, b);
-            let pre = t.add_row_broadcast(ab, bias);
-            let th = t.tanh(pre);
+            let th = t.linear_affine(a, b, bias, Activation::Tanh);
             let sg = t.sigmoid(a);
             let prod = t.mul(th, sg);
             let pooled = t.mean_rows(prod);
