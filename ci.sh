@@ -36,6 +36,9 @@ echo "== ci: tier-1 verify =="
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+echo "== ci: rustdoc (no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== ci: e2ebench builds against the workspace crates =="
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 

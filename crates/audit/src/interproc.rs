@@ -18,7 +18,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::lexer::Tok;
 use crate::parser::{Callee, ParsedFile};
 use crate::resolve::{fn_path, FnId, Resolution, Workspace};
-use crate::rules::{Violation, RULE_ALLOC_REACH, RULE_CLAIMED_WRITE, RULE_DETERMINISM_TAINT};
+use crate::rules::{
+    Violation, RULE_ALLOC_REACH, RULE_CLAIMED_WRITE, RULE_DETERMINISM_TAINT, RULE_ROOT_UNMATCHED,
+};
 
 /// Hot entry points for the determinism-taint rule: `(impl type, fn name)`.
 /// `None` matches any (or no) impl type. These are the functions whose
@@ -41,12 +43,13 @@ pub const HOT_ENTRIES: [(Option<&str>, &str); 7] = [
 pub const ZERO_ALLOC_PINNED: [(Option<&str>, &str); 8] = [
     (Some("Graph"), "new"),
     (Some("Graph"), "input_from"),
-    (Some("Graph"), "value"),
+    // `Graph` derefs to `Tape`: the pinned `g.value(..)` is `Tape::value`.
+    (Some("Tape"), "value"),
     (Some("Mlp"), "forward"),
     (Some("MultiHeadAttention"), "forward"),
     (None, "gather_rows_from"),
-    (Some("NeighborFinder"), "sample_into"),
-    (Some("NeighborFinder"), "sample_one"),
+    (Some("NeighborBackend"), "sample_into"),
+    (Some("NeighborBackend"), "sample_one"),
 ];
 
 const HASH_ITER_METHODS: [&str; 9] = [
@@ -71,15 +74,40 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
     claimed_writes(ws, out);
 }
 
-/// All workspace functions matching the `(impl type, name)` specs.
-fn match_roots(ws: &Workspace, specs: &[(Option<&str>, &str)]) -> Vec<FnId> {
+/// All workspace functions matching the `(impl type, name)` specs, in
+/// id order. A spec that matches nothing is reported under
+/// [`RULE_ROOT_UNMATCHED`] against `rule`: dropping it silently would
+/// shrink the rule's reach with every rename.
+fn match_roots(
+    ws: &Workspace,
+    rule: &str,
+    specs: &[(Option<&str>, &str)],
+    out: &mut Vec<Violation>,
+) -> Vec<FnId> {
+    let matches = |id: FnId, (ty, name): (Option<&str>, &str)| {
+        let def = ws.fn_def(id);
+        def.name == name && ty.is_none_or(|t| def.self_ty.as_deref() == Some(t))
+    };
+    for &spec in specs {
+        if !(0..ws.fns.len()).any(|id| matches(id, spec)) {
+            let (ty, name) = spec;
+            let root = ty.map_or(name.to_string(), |t| format!("{t}::{name}"));
+            out.push(Violation {
+                rule: RULE_ROOT_UNMATCHED,
+                file: "crates/audit/src/interproc.rs".to_string(),
+                line: 0,
+                message: format!(
+                    "`{rule}` root `{root}` matches no workspace function; \
+                     the rule would silently lose everything it reached from there"
+                ),
+                waived: false,
+                waive_reason: None,
+                trace: Vec::new(),
+            });
+        }
+    }
     (0..ws.fns.len())
-        .filter(|id| {
-            let def = ws.fn_def(*id);
-            specs.iter().any(|(ty, name)| {
-                def.name == *name && ty.is_none_or(|t| def.self_ty.as_deref() == Some(t))
-            })
-        })
+        .filter(|&id| specs.iter().any(|&spec| matches(id, spec)))
         .collect()
 }
 
@@ -153,7 +181,7 @@ fn hit(
 /// only in `pool.rs`). The v1 token rules check some of these per file
 /// with per-file sanctioning lists; this closes the cross-file holes.
 fn determinism_taint(ws: &Workspace, out: &mut Vec<Violation>) {
-    let roots = match_roots(ws, &HOT_ENTRIES);
+    let roots = match_roots(ws, RULE_DETERMINISM_TAINT, &HOT_ENTRIES, out);
     let parent = reach(ws, &roots);
     for &id in parent.keys() {
         let file = ws.file_of(id);
@@ -278,7 +306,7 @@ fn depth_of(parent: &BTreeMap<FnId, FnId>, id: FnId) -> usize {
 /// cold-start or grow-on-miss allocations carry explicit waivers saying
 /// when they fire.
 fn alloc_reachability(ws: &Workspace, out: &mut Vec<Violation>) {
-    let roots = match_roots(ws, &ZERO_ALLOC_PINNED);
+    let roots = match_roots(ws, RULE_ALLOC_REACH, &ZERO_ALLOC_PINNED, out);
     let parent = reach(ws, &roots);
     for &id in parent.keys() {
         let file = ws.file_of(id);
@@ -591,11 +619,48 @@ mod tests {
     use crate::parser::parse_file;
     use crate::resolve::Workspace;
 
+    fn workspace(files: &[(&str, &str)]) -> Workspace {
+        Workspace::build(files.iter().map(|(p, s)| parse_file(p, &lex(s))).collect())
+    }
+
+    /// Rule hits on a miniature tree. Most production root specs match
+    /// nothing there; their reports are covered by
+    /// `unmatched_root_is_reported`.
     fn audit(files: &[(&str, &str)]) -> Vec<Violation> {
-        let ws = Workspace::build(files.iter().map(|(p, s)| parse_file(p, &lex(s))).collect());
         let mut out = Vec::new();
-        check(&ws, &mut out);
+        check(&workspace(files), &mut out);
+        out.retain(|v| v.rule != RULE_ROOT_UNMATCHED);
         out
+    }
+
+    #[test]
+    fn unmatched_root_is_reported() {
+        let ws = workspace(&[(
+            "crates/graph/src/nf.rs",
+            "pub struct NeighborBackend;\n\
+             impl NeighborBackend {\n\
+             pub fn sample_into(&self) {}\n\
+             }\n",
+        )]);
+        let mut out = Vec::new();
+        let specs = [
+            (Some("NeighborBackend"), "sample_into"),
+            (Some("NeighborFinder"), "sample_into"),
+            (None, "no_such_entry"),
+        ];
+        let roots = match_roots(&ws, RULE_ALLOC_REACH, &specs, &mut out);
+        assert_eq!(roots.len(), 1, "only the real impl matches");
+        let msgs: Vec<&str> = out.iter().map(|v| v.message.as_str()).collect();
+        assert_eq!(out.len(), 2, "{msgs:?}");
+        assert!(out
+            .iter()
+            .all(|v| v.rule == RULE_ROOT_UNMATCHED && !v.waived));
+        assert!(
+            msgs[0].contains("`NeighborFinder::sample_into`"),
+            "{msgs:?}"
+        );
+        assert!(msgs[1].contains("`no_such_entry`"), "{msgs:?}");
+        assert!(msgs[0].contains(RULE_ALLOC_REACH), "{msgs:?}");
     }
 
     #[test]
@@ -687,8 +752,8 @@ mod tests {
         let hits = audit(&[
             (
                 "crates/graph/src/nf.rs",
-                "pub struct NeighborFinder;\n\
-                 impl NeighborFinder {\n\
+                "pub struct NeighborBackend;\n\
+                 impl NeighborBackend {\n\
                  pub fn sample_into(&self) { helper_pick(); }\n\
                  }\n",
             ),

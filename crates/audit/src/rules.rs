@@ -25,8 +25,12 @@ pub const RULE_WAIVER_SYNTAX: &str = "waiver-syntax";
 pub const RULE_DETERMINISM_TAINT: &str = "determinism-taint-hot-path";
 pub const RULE_ALLOC_REACH: &str = "hot-path-alloc-reachability";
 pub const RULE_CLAIMED_WRITE: &str = "claimed-write-audit";
+/// Pseudo-rule for an interprocedural root spec that matches no workspace
+/// function: a renamed or deleted entry point would otherwise shrink its
+/// rule's reach without a trace. Never waivable — fix the spec instead.
+pub const RULE_ROOT_UNMATCHED: &str = "audit-root-unmatched";
 
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 10] = [
     RULE_HASH_ITER,
     RULE_WALLCLOCK,
     RULE_THREAD_SPAWN,
@@ -36,6 +40,7 @@ pub const ALL_RULES: [&str; 9] = [
     RULE_DETERMINISM_TAINT,
     RULE_ALLOC_REACH,
     RULE_CLAIMED_WRITE,
+    RULE_ROOT_UNMATCHED,
 ];
 
 /// One rule hit in one file.
@@ -457,7 +462,10 @@ pub fn collect_waivers(
             continue;
         };
         let rule = rest[..close].trim().to_string();
-        if !ALL_RULES.contains(&rule.as_str()) || rule == RULE_WAIVER_SYNTAX {
+        if !ALL_RULES.contains(&rule.as_str())
+            || rule == RULE_WAIVER_SYNTAX
+            || rule == RULE_ROOT_UNMATCHED
+        {
             out.push(violation(
                 RULE_WAIVER_SYNTAX,
                 rel_path,

@@ -2,11 +2,11 @@
 //! helper away — the counting-allocator test only exercises one warm
 //! shape, so only reachability analysis sees every path.
 
-pub struct NeighborFinder {
+pub struct NeighborBackend {
     history: Vec<u32>,
 }
 
-impl NeighborFinder {
+impl NeighborBackend {
     /// Pinned zero-alloc by the counting-allocator tests (by name).
     pub fn sample_into(&self, out: &mut [u32]) {
         let picked = self.pick_recent(out.len());

@@ -73,34 +73,30 @@ fn bench_graph() {
     });
 
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
-    let mut rng = init::rng(3);
-    timing::run("graph/sample_neighbors_most_recent", || {
-        black_box(nf.sample_before(5, 800.0, 10, SamplingStrategy::MostRecent, &mut rng))
-    });
-    let mut rng = init::rng(3);
-    timing::run("graph/sample_neighbors_temporal_safe", || {
-        black_box(nf.sample_before(5, 800.0, 10, SamplingStrategy::TemporalSafe, &mut rng))
-    });
+    let backend = NeighborBackend::Resident(&nf);
 
     // Allocation-free path: scratch and output buffers reused across calls.
-    let mut rng = init::rng(3);
     let mut scratch = SampleScratch::new();
     let mut out = Vec::new();
-    timing::run("graph/sample_into_temporal_safe", || {
-        nf.sample_into(
-            5,
-            800.0,
-            10,
+    for (label, strategy) in [
+        (
+            "graph/sample_into_most_recent",
+            SamplingStrategy::MostRecent,
+        ),
+        (
+            "graph/sample_into_temporal_safe",
             SamplingStrategy::TemporalSafe,
-            &mut rng,
-            &mut scratch,
-            &mut out,
-        );
-        black_box(out.len())
-    });
+        ),
+    ] {
+        let mut rng = init::rng(3);
+        timing::run(label, || {
+            backend.sample_into(5, 800.0, 10, strategy, &mut rng, &mut scratch, &mut out);
+            black_box(out.len())
+        });
+    }
     let mut rng = init::rng(3);
     timing::run("graph/sample_one_temporal_safe", || {
-        black_box(nf.sample_one(
+        black_box(backend.sample_one(
             5,
             800.0,
             SamplingStrategy::TemporalSafe,
@@ -113,12 +109,12 @@ fn bench_graph() {
     let roots: Vec<usize> = (0..256).map(|i| i % g.num_nodes).collect();
     let times: Vec<f64> = (0..256).map(|i| 400.0 + i as f64).collect();
     timing::run("graph/sample_frontier_256x10x2", || {
-        black_box(nf.sample_frontier(&roots, &times, 10, 2, SamplingStrategy::Uniform, 42))
+        black_box(backend.sample_frontier(&roots, &times, 10, 2, SamplingStrategy::Uniform, 42))
     });
 
     let ctx = StreamContext {
         graph: &g,
-        neighbors: NeighborBackend::Resident(&nf),
+        neighbors: backend,
     };
     let mut rng = init::rng(3);
     timing::run("graph/sample_temporal_walks_m4_l3", || {

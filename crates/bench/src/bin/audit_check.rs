@@ -90,7 +90,8 @@ fn main() {
     }
     assert!(
         fx2.unwaivered()
-            .all(|v| v.rule == rules::RULE_CLAIMED_WRITE || !v.trace.is_empty()),
+            .filter(|v| [rules::RULE_DETERMINISM_TAINT, rules::RULE_ALLOC_REACH].contains(&v.rule))
+            .all(|v| !v.trace.is_empty()),
         "every reachability conviction must carry its call path"
     );
     println!(

@@ -22,7 +22,7 @@ use benchtemp_core::pipeline::{StreamContext, TgnnModel};
 use benchtemp_core::{ranking_metrics_flat, FilteredNegativeSet, NegativeStrategy};
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_graph::neighbors::{
-    BackendScratch, Frontier, NeighborEvent, NeighborFinder, SampleScratch, SamplingStrategy,
+    Frontier, NeighborEvent, NeighborFinder, SampleScratch, SamplingStrategy,
 };
 use benchtemp_graph::paged::{NeighborBackend, PagedNeighborFinder, StoreOptions};
 use benchtemp_graph::temporal_graph::TemporalGraph;
@@ -71,7 +71,7 @@ fn seed_matmul(lhs: &Matrix, rhs: &Matrix) -> Matrix {
 
 /// The seed repository's neighbor store, verbatim: one `Vec<NeighborEvent>`
 /// per node (array-of-structs), with per-query weight/cumulative/result
-/// allocations in `sample_before`. The baseline the CSR engine's ≥2×
+/// allocations in `seed_sample`. The baseline the CSR engine's ≥2×
 /// single-thread samples/sec target is measured against.
 struct SeedLayoutFinder {
     adj: Vec<Vec<NeighborEvent>>,
@@ -95,7 +95,7 @@ impl SeedLayoutFinder {
         SeedLayoutFinder { adj }
     }
 
-    fn sample_before(
+    fn seed_sample(
         &self,
         node: usize,
         t: f64,
@@ -210,15 +210,19 @@ impl SamplingWorkload {
             let strategy = strats[i % strats.len()];
             total += self
                 .seed_nf
-                .sample_before(node, t, SAMPLE_K, strategy, &mut rng)
+                .seed_sample(node, t, SAMPLE_K, strategy, &mut rng)
                 .len();
         }
         total
     }
 
-    /// The same pass through the CSR engine's allocation-free path.
-    fn csr_pass(
+    /// The same pass through a backend's allocation-free path: the resident
+    /// CSR engine, or the paged store — same queries, same RNG seed, so the
+    /// samples must match bit for bit no matter how small the page-cache
+    /// budget is.
+    fn pass(
         &self,
+        backend: NeighborBackend<'_>,
         strats: &[SamplingStrategy],
         scratch: &mut SampleScratch,
         out: &mut Vec<NeighborEvent>,
@@ -227,11 +231,14 @@ impl SamplingWorkload {
         let mut total = 0usize;
         for (i, &(node, t)) in self.queries.iter().enumerate() {
             let strategy = strats[i % strats.len()];
-            self.nf
-                .sample_into(node, t, SAMPLE_K, strategy, &mut rng, scratch, out);
+            backend.sample_into(node, t, SAMPLE_K, strategy, &mut rng, scratch, out);
             total += out.len();
         }
         total
+    }
+
+    fn resident(&self) -> NeighborBackend<'_> {
+        NeighborBackend::Resident(&self.nf)
     }
 
     /// The TemporalSafe pass in batch-size chunks, optionally instrumented
@@ -250,7 +257,7 @@ impl SamplingWorkload {
             let _dense = instrument.then(|| obs::span(stage::DENSE));
             let _sampling = instrument.then(|| obs::span(stage::SAMPLING));
             for &(node, t) in chunk {
-                self.nf.sample_into(
+                self.resident().sample_into(
                     node,
                     t,
                     SAMPLE_K,
@@ -265,8 +272,8 @@ impl SamplingWorkload {
         total
     }
 
-    fn frontier_pass(&self) -> Frontier {
-        self.nf.sample_frontier(
+    fn frontier_pass(&self, backend: NeighborBackend<'_>) -> Frontier {
+        backend.sample_frontier(
             &self.roots,
             &self.root_times,
             SAMPLE_K,
@@ -276,36 +283,16 @@ impl SamplingWorkload {
         )
     }
 
-    /// The mixed-strategy pass through the paged backend — same queries,
-    /// same RNG seed, so the samples must match [`Self::csr_pass`] bit
-    /// for bit no matter how small the page-cache budget is.
-    fn paged_pass(
-        &self,
-        paged: &PagedNeighborFinder,
-        strats: &[SamplingStrategy],
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) -> usize {
-        let mut rng = init::rng(9);
-        let mut total = 0usize;
-        for (i, &(node, t)) in self.queries.iter().enumerate() {
-            let strategy = strats[i % strats.len()];
-            paged.sample_into(node, t, SAMPLE_K, strategy, &mut rng, scratch, out);
-            total += out.len();
-        }
-        total
-    }
-
-    /// FNV-1a fold over every sample the mixed pass draws through the
-    /// resident CSR engine: neighbor, timestamp bits, event index.
-    fn csr_digest(&self, strats: &[SamplingStrategy]) -> u64 {
+    /// FNV-1a fold over every sample the mixed pass draws through
+    /// `backend`: neighbor, timestamp bits, event index.
+    fn digest(&self, backend: NeighborBackend<'_>, strats: &[SamplingStrategy]) -> u64 {
         let mut rng = init::rng(9);
         let mut scratch = SampleScratch::new();
         let mut out = Vec::new();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (i, &(node, t)) in self.queries.iter().enumerate() {
             let strategy = strats[i % strats.len()];
-            self.nf.sample_into(
+            backend.sample_into(
                 node,
                 t,
                 SAMPLE_K,
@@ -322,46 +309,6 @@ impl SamplingWorkload {
             }
         }
         h
-    }
-
-    /// The same digest drawn through the paged backend.
-    fn paged_digest(&self, paged: &PagedNeighborFinder, strats: &[SamplingStrategy]) -> u64 {
-        let mut rng = init::rng(9);
-        let mut scratch = BackendScratch::new();
-        let mut out = Vec::new();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (i, &(node, t)) in self.queries.iter().enumerate() {
-            let strategy = strats[i % strats.len()];
-            paged.sample_into(
-                node,
-                t,
-                SAMPLE_K,
-                strategy,
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            );
-            for e in &out {
-                h = fnv1a(
-                    fnv1a(fnv1a(h, e.neighbor as u64), e.t.to_bits()),
-                    e.event_idx as u64,
-                );
-            }
-        }
-        h
-    }
-
-    /// [`Self::frontier_pass`] through the paged backend (same roots,
-    /// depth, strategy, and seed).
-    fn paged_frontier_pass(&self, paged: &PagedNeighborFinder) -> Frontier {
-        paged.sample_frontier(
-            &self.roots,
-            &self.root_times,
-            SAMPLE_K,
-            2,
-            SamplingStrategy::Uniform,
-            77,
-        )
     }
 }
 
@@ -625,15 +572,16 @@ fn run_child(smoke: bool) {
     let mut scratch = SampleScratch::new();
     let mut out = Vec::new();
     assert_eq!(
-        sw.csr_pass(&SAMPLE_STRATS, &mut scratch, &mut out),
+        sw.pass(sw.resident(), &SAMPLE_STRATS, &mut scratch, &mut out),
         mixed_samples,
         "CSR pass must draw the same samples as the seed layout"
     );
-    let sample_csr_ns =
-        timing::measure(&mut || std::hint::black_box(sw.csr_pass(&safe, &mut scratch, &mut out)));
+    let sample_csr_ns = timing::measure(&mut || {
+        std::hint::black_box(sw.pass(sw.resident(), &safe, &mut scratch, &mut out))
+    });
     let mixed_seed_ns = timing::measure(&mut || std::hint::black_box(sw.seed_pass(&SAMPLE_STRATS)));
     let mixed_csr_ns = timing::measure(&mut || {
-        std::hint::black_box(sw.csr_pass(&SAMPLE_STRATS, &mut scratch, &mut out))
+        std::hint::black_box(sw.pass(sw.resident(), &SAMPLE_STRATS, &mut scratch, &mut out))
     });
 
     // Optional per-strategy breakdown for tuning (diagnostic only; the
@@ -644,7 +592,7 @@ fn run_child(smoke: bool) {
             let one = [strat];
             let s = timing::measure(&mut || std::hint::black_box(sw.seed_pass(&one)));
             let c = timing::measure(&mut || {
-                std::hint::black_box(sw.csr_pass(&one, &mut scratch, &mut out))
+                std::hint::black_box(sw.pass(sw.resident(), &one, &mut scratch, &mut out))
             });
             eprintln!(
                 "strat {name}: seed {s:.0} ns -> csr {c:.0} ns ({:.2}x)",
@@ -652,9 +600,10 @@ fn run_child(smoke: bool) {
             );
         }
     }
-    let fhash = frontier_hash(&sw.frontier_pass());
-    let frontier_ns = timing::measure(&mut || std::hint::black_box(sw.frontier_pass()));
-    let f = sw.frontier_pass();
+    let fhash = frontier_hash(&sw.frontier_pass(sw.resident()));
+    let frontier_ns =
+        timing::measure(&mut || std::hint::black_box(sw.frontier_pass(sw.resident())));
+    let f = sw.frontier_pass(sw.resident());
     let frontier_slots: usize = f.hops.iter().map(|h| h.len()).sum();
 
     // SoA frontier gather (DESIGN.md §13): materialize the hop-1 slot
@@ -818,44 +767,48 @@ fn run_child(smoke: bool) {
     let _ = std::fs::remove_dir_all(&store_base);
     let tiny_opts = StoreOptions {
         cache_budget_bytes: Some(64 * 1024),
-        run_events: 4096,
     };
     // One wall-clock run for the bulk load: timing::measure's adaptive
     // iteration would re-create the store directory thousands of times.
     // audit-allow(no-wallclock-outside-obs): timing the bulk load itself; reported, not fed back
     let bulk_start = std::time::Instant::now();
-    let paged_tiny = PagedNeighborFinder::bulk_load_graph(&store_base, &sw.graph, &tiny_opts)
-        .expect("bulk-load sampling graph");
+    let paged_tiny = PagedNeighborFinder::bulk_load(
+        &store_base,
+        sw.graph.num_nodes,
+        &sw.graph.events,
+        &tiny_opts,
+    )
+    .expect("bulk-load sampling graph");
     let store_bulk_ns = bulk_start.elapsed().as_secs_f64() * 1e9;
     let store_events = sw.graph.events.len() as f64;
 
-    let resident_digest = sw.csr_digest(&SAMPLE_STRATS);
+    let resident_digest = sw.digest(sw.resident(), &SAMPLE_STRATS);
     let ev0 = obs::counters::STORE_PAGE_EVICTIONS.get();
-    let paged_digest = sw.paged_digest(&paged_tiny, &SAMPLE_STRATS);
+    let paged_digest = sw.digest(NeighborBackend::Paged(&paged_tiny), &SAMPLE_STRATS);
     let store_evictions = obs::counters::STORE_PAGE_EVICTIONS.get() - ev0;
     assert_eq!(
         resident_digest, paged_digest,
         "paged mixed-strategy samples must be bit-identical to the resident CSR engine"
     );
-    let paged_fhash = frontier_hash(&sw.paged_frontier_pass(&paged_tiny));
+    let paged_fhash = frontier_hash(&sw.frontier_pass(NeighborBackend::Paged(&paged_tiny)));
     assert_eq!(
         fhash, paged_fhash,
         "paged frontier must be bit-identical to the resident frontier"
     );
-    let mut bscratch = BackendScratch::default();
     let store_tiny_ns = timing::measure(&mut || {
-        std::hint::black_box(sw.paged_pass(&paged_tiny, &safe, &mut bscratch, &mut out))
+        let tiny = NeighborBackend::Paged(&paged_tiny);
+        std::hint::black_box(sw.pass(tiny, &safe, &mut scratch, &mut out))
     });
     // Reopen the same files with an effectively-unbounded budget: the
     // cold pass faults every page once, then serves from memory — the
     // upper end of the budget/throughput trade the store exposes.
     let big_opts = StoreOptions {
         cache_budget_bytes: Some(64 << 20),
-        run_events: 4096,
     };
     let paged_big = PagedNeighborFinder::open(&store_base, &big_opts).expect("reopen store");
     let store_big_ns = timing::measure(&mut || {
-        std::hint::black_box(sw.paged_pass(&paged_big, &safe, &mut bscratch, &mut out))
+        let big = NeighborBackend::Paged(&paged_big);
+        std::hint::black_box(sw.pass(big, &safe, &mut scratch, &mut out))
     });
     let store_cache_bytes = paged_tiny.cache_resident_bytes() as f64;
     drop((paged_tiny, paged_big));

@@ -113,10 +113,10 @@ fn main() {
     // budget when run resident (satellite of DESIGN.md §16).
     print!("{}", resident_bytes_report(0.05));
 
-    // Wikipedia at 2% scale: ~3.1k events × 172-dim edge features ≈ 2.5 MiB
-    // of store columns — an order of magnitude over the 256 KiB budget, so
-    // training must stream pages in and out the whole way.
-    let (paged, evictions) = paged_matches_resident("TGN", BenchDataset::Wikipedia, 0.02);
+    // Wikipedia at 10% scale: ~15.7k events, 62 adjacency pages (496 KiB)
+    // in the full store against the 256 KiB budget's 32 frames, so
+    // training must stream adjacency pages in and out the whole way.
+    let (paged, evictions) = paged_matches_resident("TGN", BenchDataset::Wikipedia, 0.1);
     // TeMP reads each query's whole strictly-before-`t` window (its
     // reference time is the window's mean), so full-window reads and the
     // store's cut search are on this run's path.

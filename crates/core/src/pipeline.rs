@@ -239,18 +239,13 @@ fn job_backends(
             };
             let opts = StoreOptions {
                 cache_budget_bytes: ps.cache_budget_bytes,
-                ..Default::default()
             };
-            let train = PagedNeighborFinder::bulk_load(
-                &base.join("train"),
-                graph.num_nodes,
-                train_events,
-                None,
-                &opts,
-            )
-            .expect("paged store: train bulk load failed");
-            let full = PagedNeighborFinder::bulk_load_graph(&base.join("full"), graph, &opts)
-                .expect("paged store: full bulk load failed");
+            let bulk_load = |name: &str, events: &[Interaction]| {
+                PagedNeighborFinder::bulk_load(&base.join(name), graph.num_nodes, events, &opts)
+                    .unwrap_or_else(|e| panic!("paged store: {name} bulk load failed: {e}"))
+            };
+            let train = bulk_load("train", train_events);
+            let full = bulk_load("full", &graph.events);
             JobBackends {
                 train: OwnedNeighborBackend::Paged(train),
                 full: OwnedNeighborBackend::Paged(full),

@@ -10,20 +10,23 @@
 //! of NeurTW with the Appendix-C overflow-safe weighting (Eq. 2–3) for
 //! large-granularity datasets.
 //!
-//! Query paths, from narrowest to widest:
+//! [`NeighborFinder::before`] is the resident window primitive: a borrowed
+//! [`NeighborSlice`] view, no copy. Models query through the one sampler
+//! API on [`NeighborBackend`], from narrowest to widest:
 //!
-//! * [`NeighborFinder::before`] — borrowed [`NeighborSlice`] view, no copy;
-//! * [`NeighborFinder::sample_one`] — scalar fast path for walk hops;
-//!   allocation-free given a caller-owned [`SampleScratch`];
-//! * [`NeighborFinder::sample_into`] — `k` samples into a caller buffer,
-//!   allocation-free after warm-up;
-//! * [`NeighborFinder::sample_before`] — compat shim returning a fresh
-//!   `Vec` (the pre-CSR API, kept so existing call sites compile);
-//! * [`NeighborFinder::sample_frontier`] — batched multi-hop expansion of a
+//! * [`NeighborBackend::before_into`] — the strictly-before-`t` window;
+//! * [`NeighborBackend::sample_one`] — scalar fast path for walk hops;
+//! * [`NeighborBackend::sample_into`] — `k` samples into a caller buffer;
+//! * [`NeighborBackend::sample_frontier`] — batched multi-hop expansion of a
 //!   whole (node, t) root batch into flat per-hop arrays, fanned out over
 //!   the `benchtemp_tensor::pool` workers with one deterministic RNG stream
 //!   per *root index* (never per thread), so results are bit-identical at
 //!   any thread count.
+//!
+//! The first three are allocation-free after warm-up, given a caller-owned
+//! [`SampleScratch`]. The strategy kernels and the frontier engine they
+//! share live here (`sample_slice_into`, `sample_slice_one`,
+//! `expand_frontier`).
 
 // audit-allow-file(hot-path-alloc-reachability): finder construction (`vec!` CSR
 // columns) and the parallel frontier dispatch (per-task views, boxed closures)
@@ -33,6 +36,7 @@
 use benchtemp_tensor::init::SeededRng;
 use benchtemp_tensor::pool::pool;
 
+use crate::paged::NeighborBackend;
 use crate::temporal_graph::Interaction;
 
 /// One entry in a node's temporal adjacency list.
@@ -89,15 +93,6 @@ impl<'a> NeighborSlice<'a> {
         }
     }
 
-    /// The most recent entry of the window.
-    pub fn last(&self) -> Option<NeighborEvent> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.get(self.len() - 1))
-        }
-    }
-
     /// The raw timestamp column (sorted ascending).
     #[inline]
     pub fn ts(&self) -> &'a [f64] {
@@ -123,31 +118,32 @@ impl<'a> NeighborSlice<'a> {
     }
 }
 
-/// Reusable per-caller buffers so the weighted strategies never allocate on
-/// the query path: the cumulative-weight column lives here and is resized
-/// once to the longest history seen, then reused.
+/// Reusable per-caller buffers for every sampler query: the weighted
+/// strategies' cumulative-weight column, and the window columns the paged
+/// backend decodes a node's history into (the resident backend borrows its
+/// CSR slices and never touches them). Each is resized once to the longest
+/// window seen, then reused, so queries allocate nothing after warm-up.
 #[derive(Default)]
 pub struct SampleScratch {
-    cum: Vec<f64>,
+    pub(crate) cum: Vec<f64>,
+    pub(crate) window: WindowBuf,
 }
 
-/// Reusable SoA buffers a paged backend materialises one node's history
-/// window into before sampling. The resident backend never touches it
-/// (its windows are borrowed CSR slices), so sharing one scratch type
-/// keeps both backends behind the same API without costing the resident
-/// path anything.
+impl SampleScratch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// SoA columns one materialised history window is decoded into.
 #[derive(Default)]
-pub struct HistoryScratch {
+pub(crate) struct WindowBuf {
     pub(crate) neighbor: Vec<u32>,
     pub(crate) ts: Vec<f64>,
     pub(crate) event_idx: Vec<u32>,
 }
 
-impl HistoryScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl WindowBuf {
     /// Size every column to an `n`-entry window; the paged reader then
     /// overwrites each slot in place.
     pub(crate) fn resize(&mut self, n: usize) {
@@ -166,54 +162,27 @@ impl HistoryScratch {
             event_idx: &self.event_idx,
         }
     }
-
-    /// Heap footprint (efficiency accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.neighbor.capacity() * 4 + self.ts.capacity() * 8 + self.event_idx.capacity() * 4
-    }
 }
 
-/// Combined per-caller scratch for backend-agnostic sampling: the
-/// weighted cumulative column plus (paged backend only) the history
-/// window buffer.
-#[derive(Default)]
-pub struct BackendScratch {
-    pub sample: SampleScratch,
-    pub history: HistoryScratch,
-}
-
-impl BackendScratch {
-    pub fn new() -> Self {
-        Self::default()
+/// Fill `cum` with running sums of `weight(ts[i])` and return the total.
+/// Accumulation order (and therefore every f64 bit) matches the pre-CSR
+/// implementation: non-finite weights count as 0.
+///
+/// Two passes: raw weights first (no serial dependency, so division-based
+/// strategies auto-vectorize over the dense `ts` column), then an in-place
+/// prefix sum in the seed sampler's exact accumulation order.
+fn fill_cum<W: Fn(f64) -> f64>(cum: &mut Vec<f64>, ts: &[f64], weight: W) -> f64 {
+    cum.resize(ts.len(), 0.0);
+    for (c, &x) in cum.iter_mut().zip(ts) {
+        *c = weight(x);
     }
-}
-
-impl SampleScratch {
-    pub fn new() -> Self {
-        Self::default()
+    let mut acc = 0.0;
+    for c in cum.iter_mut() {
+        let w = *c;
+        acc += if w.is_finite() { w } else { 0.0 };
+        *c = acc;
     }
-
-    /// Fill the cumulative column with running sums of `weight(ts[i])` and
-    /// return the total. Accumulation order (and therefore every f64 bit)
-    /// matches the pre-CSR implementation: non-finite weights count as 0.
-    ///
-    /// Two passes: raw weights first (no serial dependency, so
-    /// division-based strategies auto-vectorize over the dense `ts`
-    /// column), then an in-place prefix sum in the seed sampler's exact
-    /// accumulation order.
-    fn fill_cum<W: Fn(f64) -> f64>(&mut self, ts: &[f64], weight: W) -> f64 {
-        self.cum.resize(ts.len(), 0.0);
-        for (c, &x) in self.cum.iter_mut().zip(ts) {
-            *c = weight(x);
-        }
-        let mut acc = 0.0;
-        for c in &mut self.cum {
-            let w = *c;
-            acc += if w.is_finite() { w } else { 0.0 };
-            *c = acc;
-        }
-        acc
-    }
+    acc
 }
 
 /// Sorted temporal adjacency over a (prefix of a) temporal graph, in CSR
@@ -296,7 +265,7 @@ impl FrontierHop {
     }
 }
 
-/// Result of [`NeighborFinder::sample_frontier`]: one [`FrontierHop`] per
+/// Result of `NeighborBackend::sample_frontier`: one [`FrontierHop`] per
 /// level, hop `l` holding `roots × k^(l+1)` slots.
 pub struct Frontier {
     pub k: usize,
@@ -387,17 +356,8 @@ impl NeighborFinder {
         self.offsets[node + 1] - self.offsets[node]
     }
 
-    /// A node's full history, time-sorted.
-    pub fn history(&self, node: usize) -> NeighborSlice<'_> {
-        let (s, e) = (self.offsets[node], self.offsets[node + 1]);
-        NeighborSlice {
-            neighbor: &self.neighbor[s..e],
-            ts: &self.ts[s..e],
-            event_idx: &self.event_idx[s..e],
-        }
-    }
-
-    /// All interactions of `node` strictly before `t`, time-sorted.
+    /// All interactions of `node` strictly before `t`, time-sorted: the
+    /// resident window primitive, a borrowed view into the CSR columns.
     #[inline]
     pub fn before(&self, node: usize, t: f64) -> NeighborSlice<'_> {
         let (s, e) = (self.offsets[node], self.offsets[node + 1]);
@@ -410,89 +370,9 @@ impl NeighborFinder {
         }
     }
 
-    /// The single most recent interaction strictly before `t`.
-    pub fn last_before(&self, node: usize, t: f64) -> Option<NeighborEvent> {
-        self.before(node, t).last()
-    }
-
-    /// Sample up to `k` temporal neighbors of `node` before `t`. Returns
-    /// fewer than `k` (possibly zero) entries when history is short and the
-    /// strategy is `MostRecent`; weighted strategies sample with
-    /// replacement, matching the reference implementations.
-    ///
-    /// Compat shim over [`NeighborFinder::sample_into`]; allocates the
-    /// returned `Vec` (and, for weighted strategies, a scratch). Hot paths
-    /// should hold a [`SampleScratch`] and call `sample_into`/`sample_one`.
-    pub fn sample_before(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-    ) -> Vec<NeighborEvent> {
-        let mut scratch = SampleScratch::new();
-        let mut out = Vec::new();
-        self.sample_into(node, t, k, strategy, rng, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free sampling: clears `out` and fills it with up to `k`
-    /// samples. After warm-up (buffers grown to the largest history/`k`
-    /// seen) this performs zero heap allocations per call; RNG consumption
-    /// is bit-identical to [`NeighborFinder::sample_before`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut SampleScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) {
-        out.clear();
-        let hist = self.before(node, t);
-        sample_slice_into(hist, t, k, strategy, rng, scratch, out);
-    }
-
-    /// Scalar fast path for walk engines: one sample, no output buffer.
-    /// RNG consumption is bit-identical to `sample_before(.., k=1, ..)`, so
-    /// walks sampled through this path reproduce the pre-CSR streams.
-    pub fn sample_one(
-        &self,
-        node: usize,
-        t: f64,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut SampleScratch,
-    ) -> Option<NeighborEvent> {
-        let hist = self.before(node, t);
-        sample_slice_one(hist, t, strategy, rng, scratch)
-    }
-
-    /// Batched multi-hop frontier expansion: expand every `(roots[i],
-    /// times[i])` root `k`-wide for `hops` levels into flat per-hop arrays.
-    ///
-    /// Each root owns an independent RNG stream seeded by
-    /// [`frontier_stream_seed`]`(seed, root_index)` and is expanded
-    /// depth-complete before the next, so the result depends only on
-    /// `(roots, times, k, hops, strategy, seed)` — never on thread count or
-    /// scheduling. Large batches fan out over the worker pool in contiguous
-    /// root ranges; padded slots (short histories) carry the parent's time
-    /// and a `false` mask, and are themselves expanded at deeper hops
-    /// exactly like the recursive per-node code did.
-    pub fn sample_frontier(
-        &self,
-        roots: &[usize],
-        times: &[f64],
-        k: usize,
-        hops: usize,
-        strategy: SamplingStrategy,
-        seed: u64,
-    ) -> Frontier {
-        expand_frontier(self, roots, times, k, hops, strategy, seed)
+    /// Edge-feature row of each event, indexed by event idx.
+    pub(crate) fn event_feat(&self) -> &[u32] {
+        &self.event_feat
     }
 
     /// Heap footprint (efficiency accounting).
@@ -505,54 +385,13 @@ impl NeighborFinder {
     }
 }
 
-/// The surface a backend exposes to the shared frontier engine: per-root
-/// sampling (identical semantics to `sample_into`) plus the resident
-/// event-idx → edge-feature-row map. `Sync` because root ranges fan out
-/// over the worker pool sharing `&self`.
-pub(crate) trait FrontierBackend: Sync {
-    // Mirrors `sample_into`'s full parameter surface on purpose: the shared
-    // frontier engine forwards every knob verbatim.
-    #[allow(clippy::too_many_arguments)]
-    fn backend_sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    );
-
-    fn backend_event_feat(&self) -> &[u32];
-}
-
-impl FrontierBackend for NeighborFinder {
-    fn backend_sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) {
-        self.sample_into(node, t, k, strategy, rng, &mut scratch.sample, out);
-    }
-
-    fn backend_event_feat(&self) -> &[u32] {
-        &self.event_feat
-    }
-}
-
-/// Batched multi-hop frontier expansion, generic over the backend. One
-/// code path serves both the resident CSR and the paged store, so the
-/// schedule (per-root RNG streams, depth-complete expansion, lockstep
-/// column splits, pool claims) — and therefore every output bit — cannot
-/// drift between them.
-pub(crate) fn expand_frontier<B: FrontierBackend + ?Sized>(
-    backend: &B,
+/// Batched multi-hop frontier expansion over either backend. One code
+/// path serves both the resident CSR and the paged store, so the schedule
+/// (per-root RNG streams, depth-complete expansion, lockstep column
+/// splits, pool claims) — and therefore every output bit — cannot drift
+/// between them.
+pub(crate) fn expand_frontier(
+    backend: NeighborBackend<'_>,
     roots: &[usize],
     times: &[f64],
     k: usize,
@@ -662,8 +501,8 @@ pub(crate) fn expand_frontier<B: FrontierBackend + ?Sized>(
 
 /// Expand roots `range` depth-complete, one private RNG stream per root.
 #[allow(clippy::too_many_arguments)]
-fn expand_root_range<B: FrontierBackend + ?Sized>(
-    backend: &B,
+fn expand_root_range(
+    backend: NeighborBackend<'_>,
     roots: &[usize],
     times: &[f64],
     range: std::ops::Range<usize>,
@@ -672,7 +511,7 @@ fn expand_root_range<B: FrontierBackend + ?Sized>(
     seed: u64,
     view: &mut [HopChunk<'_>],
 ) {
-    let mut scratch = BackendScratch::new();
+    let mut scratch = SampleScratch::new();
     let mut buf: Vec<NeighborEvent> = Vec::with_capacity(k);
     let start = range.start;
     for r in range {
@@ -690,15 +529,15 @@ fn expand_root_range<B: FrontierBackend + ?Sized>(
                     let prev = &done[l - 1];
                     (prev.nodes[slot], prev.times[slot])
                 };
-                backend.backend_sample_into(pn, pt, k, strategy, &mut rng, &mut scratch, &mut buf);
-                write_slots(&buf, backend.backend_event_feat(), pt, k, cur, slot * k);
+                backend.sample_into(pn, pt, k, strategy, &mut rng, &mut scratch, &mut buf);
+                write_slots(&buf, backend.event_feat(), pt, k, cur, slot * k);
             }
             parents *= k;
         }
     }
 }
 
-/// The strategy dispatch of [`NeighborFinder::sample_into`], over an
+/// The strategy dispatch of `NeighborBackend::sample_into`, over an
 /// already-cut history window. Both backends funnel through this one
 /// function — the resident path with a borrowed CSR slice, the paged path
 /// with a scratch-materialised copy of the same bytes — so identical
@@ -716,7 +555,7 @@ pub(crate) fn sample_slice_into(
     k: usize,
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
-    scratch: &mut SampleScratch,
+    cum: &mut Vec<f64>,
     out: &mut Vec<NeighborEvent>,
 ) {
     if hist.is_empty() || k == 0 {
@@ -729,12 +568,12 @@ pub(crate) fn sample_slice_into(
         }
         SamplingStrategy::Uniform => fill_uniform(hist, k, rng, out),
         SamplingStrategy::TemporalExp { alpha } => {
-            let acc = scratch.fill_cum(hist.ts(), |x| (alpha * (x - t)).exp());
-            fill_weighted(hist, &scratch.cum, acc, k, rng, out);
+            let acc = fill_cum(cum, hist.ts(), |x| (alpha * (x - t)).exp());
+            fill_weighted(hist, cum, acc, k, rng, out);
         }
         SamplingStrategy::TemporalSafe => {
-            let acc = scratch.fill_cum(hist.ts(), |x| safe_weight(t, x));
-            fill_weighted(hist, &scratch.cum, acc, k, rng, out);
+            let acc = fill_cum(cum, hist.ts(), |x| safe_weight(t, x));
+            fill_weighted(hist, cum, acc, k, rng, out);
         }
     }
 }
@@ -746,7 +585,7 @@ pub(crate) fn sample_slice_one(
     t: f64,
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
-    scratch: &mut SampleScratch,
+    cum: &mut Vec<f64>,
 ) -> Option<NeighborEvent> {
     if hist.is_empty() {
         return None;
@@ -755,12 +594,12 @@ pub(crate) fn sample_slice_one(
         SamplingStrategy::MostRecent => hist.get(hist.len() - 1),
         SamplingStrategy::Uniform => hist.get(rng.gen_range(0..hist.len())),
         SamplingStrategy::TemporalExp { alpha } => {
-            let acc = scratch.fill_cum(hist.ts(), |x| (alpha * (x - t)).exp());
-            pick_weighted(hist, &scratch.cum, acc, rng)
+            let acc = fill_cum(cum, hist.ts(), |x| (alpha * (x - t)).exp());
+            pick_weighted(hist, cum, acc, rng)
         }
         SamplingStrategy::TemporalSafe => {
-            let acc = scratch.fill_cum(hist.ts(), |x| safe_weight(t, x));
-            pick_weighted(hist, &scratch.cum, acc, rng)
+            let acc = fill_cum(cum, hist.ts(), |x| safe_weight(t, x));
+            pick_weighted(hist, cum, acc, rng)
         }
     })
 }
@@ -867,6 +706,29 @@ mod tests {
     use super::*;
     use benchtemp_tensor::init::rng;
 
+    /// Up to `k` samples through the resident backend, fresh buffers.
+    fn sample(
+        nf: &NeighborFinder,
+        node: usize,
+        t: f64,
+        k: usize,
+        strategy: SamplingStrategy,
+        rng: &mut SeededRng,
+    ) -> Vec<NeighborEvent> {
+        let mut out = Vec::new();
+        let mut scratch = SampleScratch::new();
+        NeighborBackend::Resident(nf).sample_into(
+            node,
+            t,
+            k,
+            strategy,
+            rng,
+            &mut scratch,
+            &mut out,
+        );
+        out
+    }
+
     fn events() -> Vec<Interaction> {
         vec![
             Interaction {
@@ -920,7 +782,7 @@ mod tests {
     fn most_recent_takes_tail() {
         let nf = NeighborFinder::from_events(3, &events());
         let mut r = rng(1);
-        let s = nf.sample_before(0, 10.0, 2, SamplingStrategy::MostRecent, &mut r);
+        let s = sample(&nf, 0, 10.0, 2, SamplingStrategy::MostRecent, &mut r);
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].t, 2.0);
         assert_eq!(s[1].t, 4.0);
@@ -930,7 +792,7 @@ mod tests {
     fn uniform_fills_k_with_replacement() {
         let nf = NeighborFinder::from_events(3, &events());
         let mut r = rng(1);
-        let s = nf.sample_before(0, 10.0, 8, SamplingStrategy::Uniform, &mut r);
+        let s = sample(&nf, 0, 10.0, 8, SamplingStrategy::Uniform, &mut r);
         assert_eq!(s.len(), 8);
         assert!(s.iter().all(|e| e.t < 10.0));
     }
@@ -939,9 +801,7 @@ mod tests {
     fn empty_history_returns_empty() {
         let nf = NeighborFinder::from_events(4, &events());
         let mut r = rng(1);
-        assert!(nf
-            .sample_before(3, 10.0, 4, SamplingStrategy::Uniform, &mut r)
-            .is_empty());
+        assert!(sample(&nf, 3, 10.0, 4, SamplingStrategy::Uniform, &mut r).is_empty());
     }
 
     #[test]
@@ -950,7 +810,8 @@ mod tests {
         // t = 4 nearly always.
         let nf = NeighborFinder::from_events(3, &events());
         let mut r = rng(1);
-        let s = nf.sample_before(
+        let s = sample(
+            &nf,
             0,
             5.0,
             200,
@@ -982,7 +843,8 @@ mod tests {
         ];
         let nf = NeighborFinder::from_events(3, &evs);
         let mut r = rng(1);
-        let s = nf.sample_before(
+        let s = sample(
+            &nf,
             0,
             1.0e9,
             10,
@@ -1014,7 +876,7 @@ mod tests {
         ];
         let nf = NeighborFinder::from_events(3, &evs);
         let mut r = rng(7);
-        let s = nf.sample_before(0, 1.7e308, 400, SamplingStrategy::TemporalSafe, &mut r);
+        let s = sample(&nf, 0, 1.7e308, 400, SamplingStrategy::TemporalSafe, &mut r);
         assert_eq!(s.len(), 400);
         let first = s.iter().filter(|e| e.t == 0.0).count();
         // Uniform fallback: both candidates drawn, neither starved.
@@ -1044,7 +906,7 @@ mod tests {
         ];
         let nf = NeighborFinder::from_events(3, &evs);
         let mut r = rng(1);
-        let s = nf.sample_before(0, 1.0e9, 300, SamplingStrategy::TemporalSafe, &mut r);
+        let s = sample(&nf, 0, 1.0e9, 300, SamplingStrategy::TemporalSafe, &mut r);
         let recent = s.iter().filter(|e| e.t > 0.0).count();
         assert!(
             recent > 250,
@@ -1073,10 +935,11 @@ mod tests {
 
     #[test]
     fn sample_one_matches_k1_stream() {
-        // sample_one must consume the RNG exactly like sample_before(k=1)
+        // sample_one must consume the RNG exactly like sample_into(k=1)
         // so walk engines keep their pre-CSR sampling streams.
         let g = crate::generators::GeneratorConfig::small("k1", 9).generate();
         let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
+        let backend = NeighborBackend::Resident(&nf);
         let strategies = [
             SamplingStrategy::MostRecent,
             SamplingStrategy::Uniform,
@@ -1089,8 +952,8 @@ mod tests {
             let mut scratch = SampleScratch::new();
             for node in 0..g.num_nodes.min(30) {
                 for &t in &[0.0, 250.0, 700.0, 1200.0] {
-                    let a = nf.sample_before(node, t, 1, strat, &mut r1);
-                    let b = nf.sample_one(node, t, strat, &mut r2, &mut scratch);
+                    let a = sample(&nf, node, t, 1, strat, &mut r1);
+                    let b = backend.sample_one(node, t, strat, &mut r2, &mut scratch);
                     assert_eq!(a.first().copied(), b, "node {node} t {t} {strat:?}");
                 }
             }
@@ -1103,17 +966,18 @@ mod tests {
         // by an RNG seeded with frontier_stream_seed(seed, r).
         let g = crate::generators::GeneratorConfig::small("fr", 11).generate();
         let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
+        let backend = NeighborBackend::Resident(&nf);
         let roots: Vec<usize> = (0..40).map(|i| i % g.num_nodes).collect();
         let times: Vec<f64> = (0..40).map(|i| 100.0 + 20.0 * i as f64).collect();
         let k = 5;
         let seed = 0xBEEF;
-        let f = nf.sample_frontier(&roots, &times, k, 1, SamplingStrategy::Uniform, seed);
+        let f = backend.sample_frontier(&roots, &times, k, 1, SamplingStrategy::Uniform, seed);
         let hop = &f.hops[0];
         let mut scratch = SampleScratch::new();
         let mut buf = Vec::new();
         for (r, (&node, &t)) in roots.iter().zip(&times).enumerate() {
             let mut rs = SeededRng::seed_from_u64(frontier_stream_seed(seed, r as u64));
-            nf.sample_into(
+            backend.sample_into(
                 node,
                 t,
                 k,
@@ -1148,11 +1012,12 @@ mod tests {
     fn frontier_is_seed_deterministic_and_leak_free() {
         let g = crate::generators::GeneratorConfig::small("fd", 13).generate();
         let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
+        let backend = NeighborBackend::Resident(&nf);
         let roots: Vec<usize> = (0..25).map(|i| (3 * i) % g.num_nodes).collect();
         let times: Vec<f64> = (0..25).map(|i| 50.0 + 35.0 * i as f64).collect();
-        let a = nf.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
-        let b = nf.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
-        let c = nf.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 2);
+        let a = backend.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
+        let b = backend.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
+        let c = backend.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 2);
         for (ha, hb) in a.hops.iter().zip(&b.hops) {
             assert_eq!(ha.nodes, hb.nodes);
             assert_eq!(ha.event_idx, hb.event_idx);

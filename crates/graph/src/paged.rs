@@ -1,29 +1,37 @@
-//! Paged CSR sampler backend: the out-of-core counterpart of
-//! [`NeighborFinder`], serving the same query API off `benchtemp-store`
-//! pages instead of resident columns.
+//! Paged CSR sampler backend, and the one sampler API over both backends.
+//!
+//! [`PagedNeighborFinder`] serves adjacency windows off `benchtemp-store`
+//! pages instead of resident columns. [`NeighborBackend`] is the borrowed
+//! view over either backend that every model samples through; each query
+//! ([`NeighborBackend::before_into`], [`NeighborBackend::sample_into`],
+//! [`NeighborBackend::sample_one`], [`NeighborBackend::sample_frontier`])
+//! is defined once, over one private window primitive per backend: the
+//! resident backend borrows its CSR slice ([`NeighborFinder::before`]),
+//! the paged backend decodes the window's pages into the caller's
+//! [`SampleScratch`].
 //!
 //! Bit-identity with the resident path is by construction, not by luck
 //! (DESIGN.md §16):
 //!
-//! 1. the store's bulk loader sorts stably, so an already-time-sorted
-//!    event stream (every benchtemp dataset) keeps its order and the paged
-//!    event indices equal the resident `NeighborFinder`'s;
-//! 2. `before_into` materialises the *identical* strictly-before-`t`
-//!    window bytes into a [`HistoryScratch`]: the store's cut search
-//!    ([`TemporalStore::cut_before`]) finds the resident
-//!    `partition_point` from the resident page-start timestamps plus one
-//!    page, and [`TemporalStore::read_adj`] decodes each page the window
-//!    spans once, straight from its interleaved 16-byte records
-//!    (`ts` bits, neighbor, event index) into the scratch columns;
-//! 3. sampling then runs the exact slice kernels
+//! 1. the store's bulk loader appends the time-sorted event stream in
+//!    order, so the paged event indices equal the resident
+//!    `NeighborFinder`'s;
+//! 2. the paged window primitive materialises the *identical*
+//!    strictly-before-`t` window bytes: the store's cut search
+//!    ([`TemporalStore::cut_before`]) finds the resident `partition_point`
+//!    from the resident page-start timestamps plus one page, and
+//!    [`TemporalStore::read_adj`] decodes each page the window spans once,
+//!    straight from its interleaved 16-byte records (`ts` bits, neighbor,
+//!    event index) into the scratch columns;
+//! 3. every query then runs the same slice kernels
 //!    (`sample_slice_into`/`sample_slice_one`) and frontier engine
-//!    (`expand_frontier`) the resident path runs, so RNG consumption and
-//!    output bits cannot drift between backends.
+//!    (`expand_frontier`) on that window, so RNG consumption and output
+//!    bits cannot drift between backends.
 //!
-//! `MostRecent` consumes no randomness, so the paged path materialises
-//! only the window tail of `min(k, window)` entries — the one place the
-//! two backends touch different byte counts while producing the same
-//! output.
+//! `MostRecent` consumes no randomness, so the paged window primitive
+//! materialises only the window tail of `min(k, window)` entries — the one
+//! place the two backends touch different byte counts while producing the
+//! same output.
 
 use std::io;
 use std::path::Path;
@@ -31,15 +39,14 @@ use std::path::Path;
 use benchtemp_store::{StoreEvent, TemporalStore};
 // Re-exported so samplers can be configured without a direct store
 // dependency.
-pub use benchtemp_store::{default_store_dir, StoreOptions, TemporalStore as Store};
+pub use benchtemp_store::{default_store_dir, StoreOptions};
 use benchtemp_tensor::init::SeededRng;
 
 use crate::neighbors::{
-    expand_frontier, sample_slice_into, sample_slice_one, BackendScratch, Frontier,
-    FrontierBackend, HistoryScratch, NeighborEvent, NeighborFinder, NeighborSlice,
-    SamplingStrategy,
+    expand_frontier, sample_slice_into, sample_slice_one, Frontier, NeighborEvent, NeighborFinder,
+    NeighborSlice, SampleScratch, SamplingStrategy, WindowBuf,
 };
-use crate::temporal_graph::{Interaction, TemporalGraph};
+use crate::temporal_graph::Interaction;
 
 /// Convert the graph crate's interaction to the store's plain-old-data
 /// event frame.
@@ -58,43 +65,25 @@ fn to_store_event(ev: &Interaction) -> StoreEvent {
     }
 }
 
-/// Temporal neighbor sampler over a paged [`TemporalStore`]: the same
-/// query surface as [`NeighborFinder`], with adjacency windows read
+/// Temporal adjacency over a paged [`TemporalStore`]: windows are read
 /// through the store's byte-budgeted page cache instead of resident
-/// columns. Construct via [`NeighborBackend`] to stay backend-generic.
+/// columns. Query it through [`NeighborBackend::Paged`].
 pub struct PagedNeighborFinder {
     store: TemporalStore,
 }
 
 impl PagedNeighborFinder {
-    /// Bulk-load `events` (plus an optional row-major edge-feature matrix)
-    /// into a fresh store at `dir` and open a sampler over it.
+    /// Bulk-load a time-sorted interaction stream into a fresh store at
+    /// `dir` and open a sampler over it.
     pub fn bulk_load(
         dir: &Path,
         num_nodes: usize,
         events: &[Interaction],
-        edge_features: Option<(usize, usize, &[f32])>,
         opts: &StoreOptions,
     ) -> io::Result<Self> {
-        let evs: Vec<StoreEvent> = events.iter().map(to_store_event).collect();
-        let store = TemporalStore::bulk_load(dir, num_nodes, &evs, edge_features, opts)?;
+        let store =
+            TemporalStore::bulk_load(dir, num_nodes, events.iter().map(to_store_event), opts)?;
         Ok(PagedNeighborFinder { store })
-    }
-
-    /// Bulk-load a whole graph — event stream plus its edge-feature matrix.
-    pub fn bulk_load_graph(
-        dir: &Path,
-        graph: &TemporalGraph,
-        opts: &StoreOptions,
-    ) -> io::Result<Self> {
-        let ef = &graph.edge_features;
-        Self::bulk_load(
-            dir,
-            graph.num_nodes,
-            &graph.events,
-            Some((ef.rows(), ef.cols(), ef.as_slice())),
-            opts,
-        )
     }
 
     /// Open a sampler over an existing sealed store.
@@ -102,15 +91,6 @@ impl PagedNeighborFinder {
         Ok(PagedNeighborFinder {
             store: TemporalStore::open(dir, opts)?,
         })
-    }
-
-    /// Wrap an already-open store.
-    pub fn from_store(store: TemporalStore) -> Self {
-        PagedNeighborFinder { store }
-    }
-
-    pub fn store(&self) -> &TemporalStore {
-        &self.store
     }
 
     pub fn num_nodes(&self) -> usize {
@@ -123,124 +103,37 @@ impl PagedNeighborFinder {
         (e - s) as usize
     }
 
-    /// Entry range of the strictly-before-`t` window: `(start, cut_end)`
-    /// in global adjacency-entry units, mirroring the resident
-    /// `partition_point` (see [`TemporalStore::cut_before`]).
-    fn cut_before(&self, node: usize, t: f64) -> (u64, u64) {
-        self.store
-            .cut_before(node, t)
-            .expect("paged store: cut search failed")
-    }
-
-    /// Materialise entries `[start, end)` into `scratch` and view them as
-    /// a [`NeighborSlice`] — the exact input type of the shared sampling
-    /// kernels.
+    /// The paged window primitive: the last `tail` entries of `node`'s
+    /// strictly-before-`t` window (all of it when `tail` covers it),
+    /// decoded into `buf`. Same bytes as the matching suffix of the
+    /// resident [`NeighborFinder::before`].
     fn window_into<'s>(
         &self,
-        start: u64,
-        end: u64,
-        scratch: &'s mut HistoryScratch,
+        node: usize,
+        t: f64,
+        tail: usize,
+        buf: &'s mut WindowBuf,
     ) -> NeighborSlice<'s> {
-        scratch.resize((end - start) as usize);
+        let (s, cut) = self
+            .store
+            .cut_before(node, t)
+            .expect("paged store: cut search failed");
+        let start = cut - (cut - s).min(tail as u64);
+        buf.resize((cut - start) as usize);
         self.store
             .read_adj(
                 start,
-                end,
-                &mut scratch.neighbor,
-                &mut scratch.ts,
-                &mut scratch.event_idx,
+                cut,
+                &mut buf.neighbor,
+                &mut buf.ts,
+                &mut buf.event_idx,
             )
             .expect("paged store: adjacency read failed");
-        scratch.as_slice()
+        buf.as_slice()
     }
 
-    /// All interactions of `node` strictly before `t`, materialised into
-    /// `scratch`. Same window bytes as the resident
-    /// [`NeighborFinder::before`].
-    pub fn before_into<'s>(
-        &self,
-        node: usize,
-        t: f64,
-        scratch: &'s mut HistoryScratch,
-    ) -> NeighborSlice<'s> {
-        let (s, cut_end) = self.cut_before(node, t);
-        self.window_into(s, cut_end, scratch)
-    }
-
-    /// Window to materialise for strategy: `MostRecent` draws no
-    /// randomness and reads only the tail, so paging the full window in
-    /// would be wasted IO; every RNG-driven strategy needs the full window
-    /// (draw ranges depend on its length).
-    fn strategy_window(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-    ) -> (u64, u64) {
-        let (s, cut_end) = self.cut_before(node, t);
-        match strategy {
-            SamplingStrategy::MostRecent => (cut_end - (cut_end - s).min(k as u64), cut_end),
-            _ => (s, cut_end),
-        }
-    }
-
-    /// Paged counterpart of [`NeighborFinder::sample_into`]: clears `out`
-    /// and fills it with up to `k` samples, bit-identical to the resident
-    /// path over the same events.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let (start, end) = self.strategy_window(node, t, k, strategy);
-        let BackendScratch { sample, history } = scratch;
-        let hist = self.window_into(start, end, history);
-        sample_slice_into(hist, t, k, strategy, rng, sample, out);
-    }
-
-    /// Paged counterpart of [`NeighborFinder::sample_one`].
-    pub fn sample_one(
-        &self,
-        node: usize,
-        t: f64,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-    ) -> Option<NeighborEvent> {
-        let (start, end) = self.strategy_window(node, t, 1, strategy);
-        let BackendScratch { sample, history } = scratch;
-        let hist = self.window_into(start, end, history);
-        sample_slice_one(hist, t, strategy, rng, sample)
-    }
-
-    /// Paged counterpart of [`NeighborFinder::sample_frontier`] — the
-    /// identical generic engine, so schedules and output bits match the
-    /// resident path exactly.
-    pub fn sample_frontier(
-        &self,
-        roots: &[usize],
-        times: &[f64],
-        k: usize,
-        hops: usize,
-        strategy: SamplingStrategy,
-        seed: u64,
-    ) -> Frontier {
-        expand_frontier(self, roots, times, k, hops, strategy, seed)
-    }
-
-    /// Bytes this sampler keeps unconditionally resident (CSR offsets and
-    /// the per-event feature-row map).
+    /// Bytes this sampler keeps unconditionally resident (CSR offsets, the
+    /// per-event feature-row map and the page-start timestamps).
     pub fn resident_index_bytes(&self) -> usize {
         self.store.resident_index_bytes()
     }
@@ -251,27 +144,8 @@ impl PagedNeighborFinder {
     }
 }
 
-impl FrontierBackend for PagedNeighborFinder {
-    fn backend_sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) {
-        self.sample_into(node, t, k, strategy, rng, scratch, out);
-    }
-
-    fn backend_event_feat(&self) -> &[u32] {
-        self.store.event_feat()
-    }
-}
-
 /// A borrowed, `Copy` view over either sampler backend — the type
-/// [`StreamContext`](../../benchtemp_core) carries so every model runs
+/// `benchtemp_core::pipeline::StreamContext` carries so every model runs
 /// unchanged against resident or paged adjacency.
 #[derive(Clone, Copy)]
 pub enum NeighborBackend<'a> {
@@ -294,30 +168,54 @@ impl<'a> NeighborBackend<'a> {
         }
     }
 
-    pub fn is_paged(&self) -> bool {
-        matches!(self, NeighborBackend::Paged(_))
+    /// Edge-feature row of each event (indexed by event idx), resident in
+    /// both backends.
+    pub(crate) fn event_feat(&self) -> &'a [u32] {
+        match *self {
+            NeighborBackend::Resident(nf) => nf.event_feat(),
+            NeighborBackend::Paged(pf) => pf.store.event_feat(),
+        }
     }
 
-    /// All interactions of `node` strictly before `t`. The resident
-    /// backend returns its borrowed CSR window untouched (`scratch` is
-    /// dead); the paged backend materialises the same bytes into
-    /// `scratch`.
-    pub fn before_into<'s>(
+    /// The window every query samples from: `node`'s strictly-before-`t`
+    /// history, of which a caller needs only the last `tail` entries. The
+    /// resident backend borrows its whole CSR window (`buf` untouched); the
+    /// paged backend decodes just the tail into `buf`.
+    fn window<'s>(
         &self,
         node: usize,
         t: f64,
-        scratch: &'s mut HistoryScratch,
+        tail: usize,
+        buf: &'s mut WindowBuf,
     ) -> NeighborSlice<'s>
     where
         'a: 's,
     {
-        match self {
+        match *self {
             NeighborBackend::Resident(nf) => nf.before(node, t),
-            NeighborBackend::Paged(pf) => pf.before_into(node, t, scratch),
+            NeighborBackend::Paged(pf) => pf.window_into(node, t, tail, buf),
         }
     }
 
-    /// Up to `k` samples into `out`; see [`NeighborFinder::sample_into`].
+    /// All interactions of `node` strictly before `t`, time-sorted.
+    pub fn before_into<'s>(
+        &self,
+        node: usize,
+        t: f64,
+        scratch: &'s mut SampleScratch,
+    ) -> NeighborSlice<'s>
+    where
+        'a: 's,
+    {
+        self.window(node, t, usize::MAX, &mut scratch.window)
+    }
+
+    /// Sample up to `k` temporal neighbors of `node` before `t` into `out`
+    /// (cleared first). Returns fewer than `k` (possibly zero) entries when
+    /// history is short and the strategy is `MostRecent`; weighted
+    /// strategies sample with replacement, matching the reference
+    /// implementations. After warm-up (`scratch` and `out` grown to the
+    /// largest window and `k` seen) this performs zero heap allocations.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_into(
         &self,
@@ -326,38 +224,48 @@ impl<'a> NeighborBackend<'a> {
         k: usize,
         strategy: SamplingStrategy,
         rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
+        scratch: &mut SampleScratch,
         out: &mut Vec<NeighborEvent>,
     ) {
-        match self {
-            NeighborBackend::Resident(nf) => {
-                nf.sample_into(node, t, k, strategy, rng, &mut scratch.sample, out)
-            }
-            NeighborBackend::Paged(pf) => pf.sample_into(node, t, k, strategy, rng, scratch, out),
+        out.clear();
+        if k == 0 {
+            return;
         }
+        let tail = recency_tail(strategy, k);
+        let SampleScratch { cum, window } = scratch;
+        let hist = self.window(node, t, tail, window);
+        sample_slice_into(hist, t, k, strategy, rng, cum, out);
     }
 
-    /// Scalar walk-hop sample; see [`NeighborFinder::sample_one`].
+    /// Scalar fast path for walk engines: one sample, no output buffer.
+    /// RNG consumption is bit-identical to `sample_into` with `k = 1`, so
+    /// walks sampled through this path reproduce the pre-CSR streams.
     pub fn sample_one(
         &self,
         node: usize,
         t: f64,
         strategy: SamplingStrategy,
         rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
+        scratch: &mut SampleScratch,
     ) -> Option<NeighborEvent> {
-        match self {
-            NeighborBackend::Resident(nf) => {
-                nf.sample_one(node, t, strategy, rng, &mut scratch.sample)
-            }
-            NeighborBackend::Paged(pf) => pf.sample_one(node, t, strategy, rng, scratch),
-        }
+        let tail = recency_tail(strategy, 1);
+        let SampleScratch { cum, window } = scratch;
+        let hist = self.window(node, t, tail, window);
+        sample_slice_one(hist, t, strategy, rng, cum)
     }
 
-    /// Batched multi-hop expansion; see
-    /// [`NeighborFinder::sample_frontier`]. Both arms run the same generic
-    /// engine, so results are bit-identical across backends and thread
-    /// counts.
+    /// Batched multi-hop frontier expansion: expand every `(roots[i],
+    /// times[i])` root `k`-wide for `hops` levels into flat per-hop arrays.
+    ///
+    /// Each root owns an independent RNG stream seeded by
+    /// [`frontier_stream_seed`](crate::neighbors::frontier_stream_seed)`(seed,
+    /// root_index)` and is expanded depth-complete before the next, so the
+    /// result depends only on `(roots, times, k, hops, strategy, seed)` —
+    /// never on thread count, scheduling or backend. Large batches fan out
+    /// over the worker pool in contiguous root ranges; padded slots (short
+    /// histories) carry the parent's time and a `false` mask, and are
+    /// themselves expanded at deeper hops exactly like the recursive
+    /// per-node code did.
     pub fn sample_frontier(
         &self,
         roots: &[usize],
@@ -367,31 +275,7 @@ impl<'a> NeighborBackend<'a> {
         strategy: SamplingStrategy,
         seed: u64,
     ) -> Frontier {
-        match self {
-            NeighborBackend::Resident(nf) => {
-                expand_frontier(*nf, roots, times, k, hops, strategy, seed)
-            }
-            NeighborBackend::Paged(pf) => {
-                expand_frontier(*pf, roots, times, k, hops, strategy, seed)
-            }
-        }
-    }
-
-    /// Compat shim mirroring [`NeighborFinder::sample_before`]: allocates
-    /// the returned `Vec` and a scratch. Hot paths hold a
-    /// [`BackendScratch`] and call `sample_into`/`sample_one`.
-    pub fn sample_before(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-    ) -> Vec<NeighborEvent> {
-        let mut scratch = BackendScratch::new();
-        let mut out = Vec::new();
-        self.sample_into(node, t, k, strategy, rng, &mut scratch, &mut out);
-        out
+        expand_frontier(*self, roots, times, k, hops, strategy, seed)
     }
 
     /// Bytes held resident by the backend: the whole CSR for the resident
@@ -402,6 +286,17 @@ impl<'a> NeighborBackend<'a> {
             NeighborBackend::Resident(nf) => nf.heap_bytes(),
             NeighborBackend::Paged(pf) => pf.resident_index_bytes() + pf.cache_resident_bytes(),
         }
+    }
+}
+
+/// How many trailing window entries a query of `k` samples reads:
+/// `MostRecent` draws no randomness and reads only the last `k`, so paging
+/// the full window in would be wasted IO; every RNG-driven strategy needs
+/// the full window (draw ranges depend on its length).
+fn recency_tail(strategy: SamplingStrategy, k: usize) -> usize {
+    match strategy {
+        SamplingStrategy::MostRecent => k,
+        _ => usize::MAX,
     }
 }
 
@@ -432,7 +327,7 @@ impl OwnedNeighborBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbors::{frontier_stream_seed, SampleScratch};
+    use crate::neighbors::frontier_stream_seed;
     use benchtemp_tensor::init::SeededRng;
     use std::path::PathBuf;
 
@@ -462,9 +357,8 @@ mod tests {
         // Tiny cache budget: force evictions so hits and misses both occur.
         let opts = StoreOptions {
             cache_budget_bytes: Some(64 * 1024),
-            run_events: 64,
         };
-        let pf = PagedNeighborFinder::bulk_load(dir, 12, evs, None, &opts).unwrap();
+        let pf = PagedNeighborFinder::bulk_load(dir, 12, evs, &opts).unwrap();
         (nf, pf)
     }
 
@@ -473,11 +367,12 @@ mod tests {
         let dir = tmpdir("before");
         let evs = events(300);
         let (nf, pf) = backends(&dir, &evs);
-        let mut scratch = HistoryScratch::new();
+        let (br, bp) = (NeighborBackend::Resident(&nf), NeighborBackend::Paged(&pf));
+        let (mut s_r, mut s_p) = (SampleScratch::new(), SampleScratch::new());
         for node in 0..12 {
             for t in [0.0, 1.0, 37.5, 80.0, 1e9] {
-                let r = nf.before(node, t);
-                let p = pf.before_into(node, t, &mut scratch);
+                let r = br.before_into(node, t, &mut s_r);
+                let p = bp.before_into(node, t, &mut s_p);
                 assert_eq!(r.len(), p.len(), "node={node} t={t}");
                 assert_eq!(r.neighbor_ids(), p.neighbor_ids());
                 assert_eq!(r.event_indices(), p.event_indices());
@@ -492,6 +387,7 @@ mod tests {
         let dir = tmpdir("samples");
         let evs = events(300);
         let (nf, pf) = backends(&dir, &evs);
+        let (br, bp) = (NeighborBackend::Resident(&nf), NeighborBackend::Paged(&pf));
         let strategies = [
             SamplingStrategy::MostRecent,
             SamplingStrategy::Uniform,
@@ -501,16 +397,15 @@ mod tests {
         for strategy in strategies {
             let mut rng_r = SeededRng::seed_from_u64(7);
             let mut rng_p = SeededRng::seed_from_u64(7);
-            let mut s_r = SampleScratch::new();
-            let mut s_p = BackendScratch::new();
+            let (mut s_r, mut s_p) = (SampleScratch::new(), SampleScratch::new());
             let (mut out_r, mut out_p) = (Vec::new(), Vec::new());
             for node in 0..12 {
                 for t in [3.0, 55.0, 150.0] {
-                    nf.sample_into(node, t, 5, strategy, &mut rng_r, &mut s_r, &mut out_r);
-                    pf.sample_into(node, t, 5, strategy, &mut rng_p, &mut s_p, &mut out_p);
+                    br.sample_into(node, t, 5, strategy, &mut rng_r, &mut s_r, &mut out_r);
+                    bp.sample_into(node, t, 5, strategy, &mut rng_p, &mut s_p, &mut out_p);
                     assert_eq!(out_r, out_p, "strategy={strategy:?} node={node} t={t}");
-                    let one_r = nf.sample_one(node, t, strategy, &mut rng_r, &mut s_r);
-                    let one_p = pf.sample_one(node, t, strategy, &mut rng_p, &mut s_p);
+                    let one_r = br.sample_one(node, t, strategy, &mut rng_r, &mut s_r);
+                    let one_p = bp.sample_one(node, t, strategy, &mut rng_p, &mut s_p);
                     assert_eq!(one_r, one_p);
                 }
             }
@@ -523,12 +418,13 @@ mod tests {
         let dir = tmpdir("frontier");
         let evs = events(400);
         let (nf, pf) = backends(&dir, &evs);
+        let (br, bp) = (NeighborBackend::Resident(&nf), NeighborBackend::Paged(&pf));
         let roots: Vec<usize> = (0..40).map(|i| i % 12).collect();
         let times: Vec<f64> = (0..40).map(|i| 40.0 + i as f64).collect();
         let seed = frontier_stream_seed(0xfeed, 3); // arbitrary fixed seed
         for strategy in [SamplingStrategy::MostRecent, SamplingStrategy::Uniform] {
-            let fr = nf.sample_frontier(&roots, &times, 3, 2, strategy, seed);
-            let fp = pf.sample_frontier(&roots, &times, 3, 2, strategy, seed);
+            let fr = br.sample_frontier(&roots, &times, 3, 2, strategy, seed);
+            let fp = bp.sample_frontier(&roots, &times, 3, 2, strategy, seed);
             assert_eq!(fr.hops.len(), fp.hops.len());
             for (hr, hp) in fr.hops.iter().zip(&fp.hops) {
                 assert_eq!(hr.nodes, hp.nodes);
@@ -598,11 +494,11 @@ mod tests {
         // Four frames: fewer than the hub's window alone spans.
         let opts = StoreOptions {
             cache_budget_bytes: Some(4 * PAGE_SIZE),
-            run_events: 256,
         };
         let ev0 = STORE_PAGE_EVICTIONS.get();
-        let pf = PagedNeighborFinder::bulk_load(&dir, 21, &evs, None, &opts).unwrap();
-        assert_eq!(pf.store().node_range(0), (0, hub_ts.len() as u64));
+        let pf = PagedNeighborFinder::bulk_load(&dir, 21, &evs, &opts).unwrap();
+        assert_eq!(pf.store.node_range(0), (0, hub_ts.len() as u64));
+        let (br, bp) = (NeighborBackend::Resident(&nf), NeighborBackend::Paged(&pf));
         assert!(pf.degree(0) > 3 * per_page, "hub must span over 3 pages");
 
         // Below the first timestamp, on every boundary run, between
@@ -622,11 +518,11 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let nodes = [0usize, 1, 9, 14, 20];
 
-        let mut scratch = HistoryScratch::new();
+        let (mut s_r, mut s_p) = (SampleScratch::new(), SampleScratch::new());
         for &node in &nodes {
             for &t in &times {
-                let r = nf.before(node, t);
-                let p = pf.before_into(node, t, &mut scratch);
+                let r = br.before_into(node, t, &mut s_r);
+                let p = bp.before_into(node, t, &mut s_p);
                 assert_eq!(r.neighbor_ids(), p.neighbor_ids(), "node={node} t={t}");
                 assert_eq!(r.event_indices(), p.event_indices(), "node={node} t={t}");
                 assert_eq!(bits(r.ts()), bits(p.ts()), "node={node} t={t}");
@@ -642,26 +538,24 @@ mod tests {
         for strategy in strategies {
             let mut rng_r = SeededRng::seed_from_u64(11);
             let mut rng_p = SeededRng::seed_from_u64(11);
-            let mut s_r = SampleScratch::new();
-            let mut s_p = BackendScratch::new();
             let (mut out_r, mut out_p) = (Vec::new(), Vec::new());
             for &node in &nodes {
                 for &t in &times {
                     for k in [5, per_page + 100] {
-                        nf.sample_into(node, t, k, strategy, &mut rng_r, &mut s_r, &mut out_r);
-                        pf.sample_into(node, t, k, strategy, &mut rng_p, &mut s_p, &mut out_p);
+                        br.sample_into(node, t, k, strategy, &mut rng_r, &mut s_r, &mut out_r);
+                        bp.sample_into(node, t, k, strategy, &mut rng_p, &mut s_p, &mut out_p);
                         assert_eq!(out_r, out_p, "{strategy:?} node={node} t={t} k={k}");
                     }
-                    let one_r = nf.sample_one(node, t, strategy, &mut rng_r, &mut s_r);
-                    let one_p = pf.sample_one(node, t, strategy, &mut rng_p, &mut s_p);
+                    let one_r = br.sample_one(node, t, strategy, &mut rng_r, &mut s_r);
+                    let one_p = bp.sample_one(node, t, strategy, &mut rng_p, &mut s_p);
                     assert_eq!(one_r, one_p, "{strategy:?} node={node} t={t}");
                 }
             }
 
             let roots: Vec<usize> = (0..times.len()).map(|i| nodes[i % nodes.len()]).collect();
             let seed = frontier_stream_seed(0xbeef, 5);
-            let fr = nf.sample_frontier(&roots, &times, 4, 2, strategy, seed);
-            let fp = pf.sample_frontier(&roots, &times, 4, 2, strategy, seed);
+            let fr = br.sample_frontier(&roots, &times, 4, 2, strategy, seed);
+            let fp = bp.sample_frontier(&roots, &times, 4, 2, strategy, seed);
             assert_eq!(fr.hops.len(), fp.hops.len());
             for (hr, hp) in fr.hops.iter().zip(&fp.hops) {
                 assert_eq!(hr.nodes, hp.nodes);
@@ -692,13 +586,21 @@ mod tests {
         for node in 0..12 {
             assert_eq!(br.degree(node), bp.degree(node));
         }
-        let mut scratch = HistoryScratch::new();
+        let mut scratch = SampleScratch::new();
         let r = br.before_into(3, 60.0, &mut scratch);
         let rts: Vec<u64> = r.ts().iter().map(|t| t.to_bits()).collect();
-        let mut scratch_p = HistoryScratch::new();
+        let mut scratch_p = SampleScratch::new();
         let p = bp.before_into(3, 60.0, &mut scratch_p);
         assert_eq!(rts, p.ts().iter().map(|t| t.to_bits()).collect::<Vec<_>>());
-        assert!(bp.is_paged() && !br.is_paged());
+        assert!(
+            scratch.window.ts.is_empty(),
+            "resident windows are borrowed"
+        );
+        assert_eq!(
+            scratch_p.window.ts.len(),
+            rts.len(),
+            "paged windows are decoded"
+        );
         assert!(br.heap_bytes() > 0 && bp.heap_bytes() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }

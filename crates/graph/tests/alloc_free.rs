@@ -1,6 +1,7 @@
-//! Zero-allocation contract of the CSR sampling fast paths: after warm-up
-//! (scratch and output buffers grown to the largest history / `k` seen),
-//! `sample_into` and `sample_one` must perform no heap allocations at all.
+//! Zero-allocation contract of the sampling fast paths on the resident
+//! backend: after warm-up (scratch and output buffers grown to the largest
+//! history / `k` seen), `NeighborBackend::sample_into` and `sample_one`
+//! must perform no heap allocations at all.
 //!
 //! Verified with a counting global allocator. This file holds exactly one
 //! test so no sibling test thread can allocate concurrently and pollute the
@@ -11,6 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_graph::neighbors::{NeighborFinder, SampleScratch, SamplingStrategy};
+use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_tensor::init;
 
 struct CountingAlloc;
@@ -59,6 +61,7 @@ fn sample_paths_are_allocation_free_after_warmup() {
     cfg.num_edges = 4000;
     let g = cfg.generate();
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
+    let backend = NeighborBackend::Resident(&nf);
     let queries: Vec<(usize, f64)> = (0..200)
         .map(|i| (i % g.num_nodes, 10.0 + 7.0 * i as f64))
         .collect();
@@ -73,9 +76,12 @@ fn sample_paths_are_allocation_free_after_warmup() {
         let mut picked = 0usize;
         for &(node, t) in &queries {
             for strategy in STRATEGIES {
-                nf.sample_into(node, t, k, strategy, rng, scratch, out);
+                backend.sample_into(node, t, k, strategy, rng, scratch, out);
                 picked += out.len();
-                if nf.sample_one(node, t, strategy, rng, scratch).is_some() {
+                if backend
+                    .sample_one(node, t, strategy, rng, scratch)
+                    .is_some()
+                {
                     picked += 1;
                 }
             }

@@ -9,12 +9,28 @@
 
 use benchtemp_graph::features::FeatureInit;
 use benchtemp_graph::generators::{GeneratorConfig, LabelGenConfig};
-use benchtemp_graph::neighbors::{NeighborFinder, SamplingStrategy};
+use benchtemp_graph::neighbors::{NeighborEvent, NeighborFinder, SampleScratch, SamplingStrategy};
+use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_graph::reindex::{reindex_heterogeneous, reindex_homogeneous, RawInteraction};
 use benchtemp_graph::stats::temporal_histogram;
 use benchtemp_tensor::{init, Pcg32};
 
 const CASES: usize = 48;
+
+/// Up to `k` samples through the resident backend, fresh buffers.
+fn sample(
+    nf: &NeighborFinder,
+    node: usize,
+    t: f64,
+    k: usize,
+    strategy: SamplingStrategy,
+    rng: &mut init::SeededRng,
+) -> Vec<NeighborEvent> {
+    let mut out = Vec::new();
+    let mut scratch = SampleScratch::new();
+    NeighborBackend::Resident(nf).sample_into(node, t, k, strategy, rng, &mut scratch, &mut out);
+    out
+}
 
 /// Draw a random-but-valid generator configuration.
 fn random_config(rng: &mut Pcg32) -> GeneratorConfig {
@@ -118,7 +134,7 @@ fn sampling_never_leaks_future() {
             SamplingStrategy::TemporalExp { alpha: 0.1 },
         ] {
             for node in 0..g.num_nodes.min(5) {
-                let s = nf.sample_before(node, t, 4, strategy, &mut sample_rng);
+                let s = sample(&nf, node, t, 4, strategy, &mut sample_rng);
                 assert!(s.iter().all(|e| e.t < t), "case {case} node {node} t {t}");
             }
         }
@@ -240,7 +256,7 @@ mod seed_reference {
             &list[..cut]
         }
 
-        pub fn sample_before(
+        pub fn sample(
             &self,
             node: usize,
             t: f64,
@@ -331,8 +347,8 @@ fn csr_sampler_bit_matches_seed_layout() {
                 let node = rng.gen_range(0usize..g.num_nodes);
                 let t = rng.gen_range(0.0f64..600.0);
                 let k = rng.gen_range(1usize..8);
-                let a = oracle.sample_before(node, t, k, strategy, &mut r_old);
-                let b = nf.sample_before(node, t, k, strategy, &mut r_new);
+                let a = oracle.sample(node, t, k, strategy, &mut r_old);
+                let b = sample(&nf, node, t, k, strategy, &mut r_new);
                 assert_eq!(a.len(), b.len(), "case {case} q {q} {strategy:?}");
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.neighbor, y.neighbor, "case {case} q {q} {strategy:?}");
@@ -372,7 +388,7 @@ fn temporal_safe_matches_reference_frequencies() {
     let expected: Vec<f64> = weights.iter().map(|w| w / total).collect();
     let n = 200_000usize;
     let mut r = init::rng(0xFE11);
-    let samples = nf.sample_before(0, t, n, SamplingStrategy::TemporalSafe, &mut r);
+    let samples = sample(&nf, 0, t, n, SamplingStrategy::TemporalSafe, &mut r);
     assert_eq!(samples.len(), n);
     let mut counts = vec![0usize; ts.len()];
     for s in &samples {

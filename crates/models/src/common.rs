@@ -49,14 +49,6 @@ impl Default for ModelConfig {
     }
 }
 
-impl ModelConfig {
-    /// The paper's §4.1 protocol values where they are model-agnostic.
-    pub fn paper_protocol(mut self) -> Self {
-        self.lr = 1e-4;
-        self
-    }
-}
-
 /// Parameter store + optimizer + RNG: the bundle every model owns.
 /// Delegation target for the `TgnnModel` boilerplate. Dense/sampling time
 /// is attributed by `benchtemp-obs` spans, not carried here.
@@ -210,17 +202,6 @@ impl NeighborBatch {
     /// pooled tape leaf (coalesced SoA gather).
     pub fn edge_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
         g.gather_rows_from(&ctx.graph.edge_features, &self.feat_idx)
-    }
-
-    /// Times per (node,time) pair of the sampled events (for recursion).
-    pub fn event_times(&self, times: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.ids.len());
-        for (i, &t) in times.iter().enumerate() {
-            for j in 0..self.k {
-                out.push(t - self.dts[i * self.k + j] as f64);
-            }
-        }
-        out
     }
 }
 

@@ -17,7 +17,7 @@
 
 use benchtemp_core::efficiency::stage;
 use benchtemp_core::pipeline::{Anatomy, StreamContext, TgnnModel};
-use benchtemp_graph::neighbors::{HistoryScratch, NeighborSlice};
+use benchtemp_graph::neighbors::{NeighborSlice, SampleScratch};
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_obs as obs;
 use benchtemp_tensor::nn::{GruCell, Linear, MergeLayer, TimeEncode};
@@ -118,7 +118,7 @@ impl Temp {
         // One window scratch for the whole batch: only the paged backend
         // writes into it, once per query; the reference time and the
         // aggregation both read that one window.
-        let mut scratch = HistoryScratch::new();
+        let mut scratch = SampleScratch::new();
         for (i, (&node, &t)) in nodes.iter().zip(times).enumerate() {
             let hist = ctx.neighbors.before_into(node, t, &mut scratch);
             let ref_t = Self::reference_time(hist, t);

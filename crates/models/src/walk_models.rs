@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use benchtemp_core::efficiency::stage;
 use benchtemp_core::pipeline::{Anatomy, StreamContext, TgnnModel};
-use benchtemp_graph::neighbors::{BackendScratch, SamplingStrategy};
+use benchtemp_graph::neighbors::{SampleScratch, SamplingStrategy};
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_obs as obs;
 use benchtemp_tensor::init::SeededRng;
@@ -71,7 +71,7 @@ pub struct WalkModel {
     l: usize,
     hidden: usize,
     /// Reused weighted-sampling buffers — walk hops allocate nothing.
-    scratch: BackendScratch,
+    scratch: SampleScratch,
 }
 
 impl WalkModel {
@@ -112,7 +112,7 @@ impl WalkModel {
             m: cfg.walks.max(1),
             l,
             hidden: h,
-            scratch: BackendScratch::new(),
+            scratch: SampleScratch::new(),
         }
     }
 
@@ -145,7 +145,7 @@ impl WalkModel {
         l: usize,
         strategy: SamplingStrategy,
         rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
+        scratch: &mut SampleScratch,
     ) -> WalkSets {
         let mut sample_role = |nodes: &[usize], rng: &mut SeededRng| -> Vec<Vec<TemporalWalk>> {
             nodes

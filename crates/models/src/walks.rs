@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use benchtemp_core::pipeline::StreamContext;
-use benchtemp_graph::neighbors::{BackendScratch, SamplingStrategy};
+use benchtemp_graph::neighbors::{SampleScratch, SamplingStrategy};
 use benchtemp_tensor::init::SeededRng;
 
 /// One backward temporal walk of fixed budget `L` steps; dead ends are
@@ -43,7 +43,7 @@ impl TemporalWalk {
 /// Sample `m` backward walks of `l` hops from `start` at time `t`.
 ///
 /// Convenience wrapper over [`sample_walks_with`] that allocates a fresh
-/// [`BackendScratch`]; hot loops should hold one and call the `_with` form.
+/// [`SampleScratch`]; hot loops should hold one and call the `_with` form.
 pub fn sample_walks(
     ctx: &StreamContext,
     start: usize,
@@ -53,14 +53,14 @@ pub fn sample_walks(
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
 ) -> Vec<TemporalWalk> {
-    let mut scratch = BackendScratch::new();
+    let mut scratch = SampleScratch::new();
     sample_walks_with(ctx, start, t, m, l, strategy, rng, &mut scratch)
 }
 
 /// Sample `m` backward walks of `l` hops from `start` at time `t`, reusing
 /// the caller's scratch. Each hop goes through the scalar `sample_one` fast
 /// path, so no per-hop `Vec` is allocated and the RNG stream is identical
-/// to the old `sample_before(.., 1, ..)` loop.
+/// to a `sample_into(.., 1, ..)` loop.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_walks_with(
     ctx: &StreamContext,
@@ -70,7 +70,7 @@ pub fn sample_walks_with(
     l: usize,
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
-    scratch: &mut BackendScratch,
+    scratch: &mut SampleScratch,
 ) -> Vec<TemporalWalk> {
     (0..m)
         .map(|_| {

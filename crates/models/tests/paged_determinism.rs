@@ -80,23 +80,28 @@ fn trajectory_bytes(g: &benchtemp_graph::TemporalGraph, ctx: &StreamContext) -> 
 /// Full paged-vs-resident witness for one process; returns the digest.
 fn paged_digest() -> u64 {
     let mut cfg = GeneratorConfig::small("pageddet", 37);
-    cfg.num_edges = 3_000; // ≫ 64 KiB of store columns → guaranteed evictions
+    cfg.num_edges = 3_000; // 94 KiB of adjacency records > 64 KiB → guaranteed evictions
     let g = cfg.generate();
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
     let dir = std::env::temp_dir().join(format!("benchtemp-paged-det-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = StoreOptions {
         cache_budget_bytes: Some(CACHE_BUDGET),
-        run_events: 512,
     };
-    let paged = PagedNeighborFinder::bulk_load_graph(&dir, &g, &opts).expect("bulk load");
+    let paged =
+        PagedNeighborFinder::bulk_load(&dir, g.num_nodes, &g.events, &opts).expect("bulk load");
+    let (resident, paged_b) = (
+        NeighborBackend::Resident(&nf),
+        NeighborBackend::Paged(&paged),
+    );
 
     let ev0 = STORE_PAGE_EVICTIONS.get();
     // (a) Frontier bit-identity under eviction pressure.
     let roots: Vec<usize> = g.events.iter().step_by(7).map(|e| e.src).collect();
     let times: Vec<f64> = g.events.iter().step_by(7).map(|e| e.t).collect();
-    let resident_f = nf.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
-    let paged_f = paged.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
+    let resident_f =
+        resident.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
+    let paged_f = paged_b.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
     let (mut rb, mut pb) = (Vec::new(), Vec::new());
     frontier_bytes(&resident_f, &mut rb);
     frontier_bytes(&paged_f, &mut pb);
@@ -111,14 +116,14 @@ fn paged_digest() -> u64 {
         &g,
         &StreamContext {
             graph: &g,
-            neighbors: NeighborBackend::Resident(&nf),
+            neighbors: resident,
         },
     );
     let paged_traj = trajectory_bytes(
         &g,
         &StreamContext {
             graph: &g,
-            neighbors: NeighborBackend::Paged(&paged),
+            neighbors: paged_b,
         },
     );
     assert_eq!(

@@ -63,7 +63,9 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
     for hops in [1usize, 2, 3] {
         for (si, strat) in STRATS.into_iter().enumerate() {
             let seed = 9000 + (hops * 10 + si) as u64;
-            let f = nf.sample_frontier(&roots, &times, k, hops, strat, seed);
+            let f = ctx
+                .neighbors
+                .sample_frontier(&roots, &times, k, hops, strat, seed);
             assert_eq!(f.hops.len(), hops);
             for hop in f.hops {
                 // The pre-resolved feature column must equal the per-slot

@@ -73,7 +73,7 @@ impl Gauge {
 
 /// Negative destinations drawn by `EdgeSampler::sample_batch`.
 pub static NEGATIVES_SAMPLED: Counter = Counter::new("negatives_sampled");
-/// Neighbor slots filled by `NeighborFinder::sample_frontier`.
+/// Neighbor slots filled by `NeighborBackend::sample_frontier`.
 pub static FRONTIER_NODES_EXPANDED: Counter = Counter::new("frontier_nodes_expanded");
 /// Nodes pushed onto the autograd tape.
 pub static TAPE_NODES_ALLOCATED: Counter = Counter::new("tape_nodes_allocated");
@@ -107,9 +107,7 @@ pub static STORE_PAGE_HITS: Counter = Counter::new("store.page_hits");
 pub static STORE_PAGE_MISSES: Counter = Counter::new("store.page_misses");
 /// CLOCK victims evicted to stay inside the page-cache byte budget.
 pub static STORE_PAGE_EVICTIONS: Counter = Counter::new("store.page_evictions");
-/// Write-ahead-log records replayed during store open/seal.
-pub static STORE_WAL_RECORDS: Counter = Counter::new("store.wal_records_replayed");
-/// Events folded into CSR pages by the external-sort bulk loader.
+/// Events folded into CSR pages by the bulk loader.
 pub static STORE_BULK_EVENTS: Counter = Counter::new("store.bulk_events");
 
 /// Peak resident set size observed (bytes).
@@ -123,7 +121,7 @@ pub static TAPE_POOL_RESIDENT_BYTES: Gauge = Gauge::new("tape.pool_resident_byte
 /// All counters, in a fixed order ([`crate::Recorder`] baselines index into
 /// this slice, so the order is part of the recorder contract).
 pub fn all() -> &'static [&'static Counter] {
-    static ALL: [&Counter; 19] = [
+    static ALL: [&Counter; 18] = [
         &NEGATIVES_SAMPLED,
         &FRONTIER_NODES_EXPANDED,
         &TAPE_NODES_ALLOCATED,
@@ -141,7 +139,6 @@ pub fn all() -> &'static [&'static Counter] {
         &STORE_PAGE_HITS,
         &STORE_PAGE_MISSES,
         &STORE_PAGE_EVICTIONS,
-        &STORE_WAL_RECORDS,
         &STORE_BULK_EVENTS,
     ];
     &ALL

@@ -4,7 +4,7 @@
 //! [`CachedPager::with_page_mut`]: a hit flips the frame's reference bit,
 //! a miss faults the page in (evicting via second-chance CLOCK once the
 //! budget's frame count is reached, writing dirty victims back first).
-//! The cache is the *only* RAM the big columns occupy, so the byte budget
+//! The cache is the *only* RAM the adjacency column occupies, so the budget
 //! is the store's bounded-memory contract; hits/misses/evictions tick the
 //! `store.*` obs counters and the resident-bytes gauge so training runs
 //! can prove the bound from their profile.
@@ -153,16 +153,15 @@ impl CachedPager {
         })
     }
 
-    /// Open an existing page file (allocation state from the manifest).
+    /// Open a sealed page file of `num_pages` pages (from the manifest).
     pub fn open(
         path: &std::path::Path,
         budget_bytes: Option<usize>,
         num_pages: u64,
-        free: Vec<PageId>,
     ) -> io::Result<Self> {
         Ok(CachedPager {
             inner: Mutex::new(Inner {
-                pager: Pager::open(path, num_pages, free)?,
+                pager: Pager::open(path, num_pages)?,
                 frames: Vec::new(),
                 map: HashMap::new(),
                 hand: 0,
@@ -195,12 +194,6 @@ impl CachedPager {
             .alloc()
     }
 
-    pub fn free_page(&self, id: PageId) {
-        let mut inner = self.inner.lock().expect("page cache poisoned");
-        inner.map.remove(&id);
-        inner.pager.free_page(id);
-    }
-
     /// Write back every dirty frame and sync the file.
     pub fn flush(&self) -> io::Result<()> {
         self.inner.lock().expect("page cache poisoned").flush()
@@ -222,15 +215,6 @@ impl CachedPager {
             .expect("page cache poisoned")
             .pager
             .num_pages()
-    }
-
-    pub fn free_list(&self) -> Vec<PageId> {
-        self.inner
-            .lock()
-            .expect("page cache poisoned")
-            .pager
-            .free_list()
-            .to_vec()
     }
 }
 
@@ -269,16 +253,15 @@ mod tests {
     #[test]
     fn flush_persists_across_reopen() {
         let path = tmp("flush");
-        let (num_pages, free);
+        let num_pages;
         {
             let cp = CachedPager::create(&path, Some(1 << 20)).unwrap();
             let pg = cp.alloc();
             cp.with_page_mut(pg, |buf| buf[0] = 42).unwrap();
             cp.flush().unwrap();
             num_pages = cp.num_pages();
-            free = cp.free_list();
         }
-        let cp = CachedPager::open(&path, Some(1 << 20), num_pages, free).unwrap();
+        let cp = CachedPager::open(&path, Some(1 << 20), num_pages).unwrap();
         assert_eq!(cp.with_page(0, |buf| buf[0]).unwrap(), 42);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }

@@ -1,12 +1,11 @@
-//! Raw paged file: fixed-size pages addressed by [`PageId`], with a free
-//! list so rebuilt columns can recycle space instead of growing the file.
+//! Raw paged file: fixed-size pages addressed by [`PageId`].
 //!
 //! The pager is deliberately dumb — it reads and writes whole pages at
-//! absolute offsets and tracks which page ids are allocatable. Caching,
-//! eviction, and dirty tracking live one layer up in [`crate::cache`];
-//! durability of the free list lives in the manifest
-//! ([`crate::snapshot`]), which persists it alongside the column page
-//! tables so a reopened store sees the same allocation state it flushed.
+//! absolute offsets and hands out page ids by extending the file. Caching,
+//! eviction, and dirty tracking live one layer up in [`crate::cache`]; the
+//! page count a store was sealed with lives in its manifest
+//! ([`crate::manifest`]), and [`Pager::open`] refuses a file shorter than
+//! that count.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -21,11 +20,10 @@ pub const PAGE_SIZE: usize = 8192;
 /// Index of a page within the store file (byte offset = id × PAGE_SIZE).
 pub type PageId = u64;
 
-/// A page-granular file with an in-memory free list.
+/// A page-granular, append-allocated file.
 pub struct Pager {
     file: File,
     num_pages: u64,
-    free: Vec<PageId>,
 }
 
 impl Pager {
@@ -37,38 +35,30 @@ impl Pager {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Pager {
-            file,
-            num_pages: 0,
-            free: Vec::new(),
-        })
+        Ok(Pager { file, num_pages: 0 })
     }
 
-    /// Open an existing page file with allocation state recovered from the
-    /// manifest.
-    pub fn open(path: &Path, num_pages: u64, free: Vec<PageId>) -> io::Result<Self> {
+    /// Open a sealed page file of `num_pages` pages (from the manifest).
+    /// A sealed store wrote every page it allocated, so a shorter file was
+    /// truncated after the fact and is rejected with `InvalidData` rather
+    /// than read back as zeroes.
+    pub fn open(path: &Path, num_pages: u64) -> io::Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Ok(Pager {
-            file,
-            num_pages,
-            free,
-        })
+        let len = file.metadata()?.len();
+        if len < num_pages * PAGE_SIZE as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("page file truncated: {len} bytes for {num_pages} pages"),
+            ));
+        }
+        Ok(Pager { file, num_pages })
     }
 
-    /// Allocate a page id: recycle from the free list, else extend the file.
+    /// Allocate the next page id, extending the file.
     pub fn alloc(&mut self) -> PageId {
-        if let Some(id) = self.free.pop() {
-            return id;
-        }
         let id = self.num_pages;
         self.num_pages += 1;
         id
-    }
-
-    /// Return a page to the free list for reuse by a later [`Pager::alloc`].
-    pub fn free_page(&mut self, id: PageId) {
-        debug_assert!(id < self.num_pages, "freeing unallocated page {id}");
-        self.free.push(id);
     }
 
     /// Read one whole page into `buf`. Pages that were allocated but never
@@ -98,10 +88,6 @@ impl Pager {
 
     pub fn num_pages(&self) -> u64 {
         self.num_pages
-    }
-
-    pub fn free_list(&self) -> &[PageId] {
-        &self.free
     }
 
     pub fn sync(&self) -> io::Result<()> {
@@ -141,14 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn free_list_recycles() {
-        let path = tmp("fl");
+    fn open_rejects_a_file_shorter_than_its_page_count() {
+        let path = tmp("short");
         let mut p = Pager::create(&path).unwrap();
-        let a = p.alloc();
-        let _b = p.alloc();
-        p.free_page(a);
-        assert_eq!(p.alloc(), a, "freed page must be recycled first");
-        assert_eq!(p.alloc(), 2, "then the file grows");
+        let id = p.alloc();
+        p.write_page(id, &vec![7u8; PAGE_SIZE]).unwrap();
+        drop(p);
+        assert!(Pager::open(&path, 1).is_ok());
+        let err = Pager::open(&path, 2)
+            .err()
+            .expect("two pages claimed, one on disk");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -74,15 +74,6 @@ impl Matrix {
         }
     }
 
-    /// Row vector (1×n) from a slice.
-    pub fn row_vec(values: &[f32]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     /// Identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);

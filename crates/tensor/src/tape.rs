@@ -64,16 +64,11 @@ enum Op {
     Exp(usize),
     Ln(usize),
     Cos(usize),
-    SoftmaxRows(usize),
     SumAll(usize),
     MeanAll(usize),
-    MeanRows(usize),
-    SumRows(usize),
-    RowSums(usize),
     MulColBroadcast(usize, usize),
     ConcatCols(usize, usize),
     ConcatRows(usize, usize),
-    Dropout(usize, Vec<f32>),
     SliceRows(usize, usize, usize),
     /// Fused multi-head grouped attention — see
     /// [`Tape::multi_head_grouped_attention`]. One node per layer consumes
@@ -457,17 +452,6 @@ impl Tape {
         out
     }
 
-    /// Row-wise softmax (numerically stabilized).
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let (rows, cols) = self.shape(a);
-        let mut out = self.alloc_raw(rows, cols);
-        let m = &self.nodes[a.0].value;
-        for r in 0..rows {
-            softmax_into(m.row(r), out.row_mut(r));
-        }
-        self.push(out, Op::SoftmaxRows(a.0))
-    }
-
     // ---- reductions -----------------------------------------------------
 
     /// Sum of all entries → 1×1.
@@ -485,46 +469,6 @@ impl Tape {
         let mut out = self.alloc_raw(1, 1);
         out.set(0, 0, s);
         self.push(out, Op::MeanAll(a.0))
-    }
-
-    /// Column means: n×m → 1×m.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let (rows, cols) = self.shape(a);
-        let mut out = self.alloc_zeroed(1, cols);
-        let m = &self.nodes[a.0].value;
-        let _ = rows;
-        for r in 0..m.rows() {
-            for (o, &x) in out.row_mut(0).iter_mut().zip(m.row(r)) {
-                *o += x;
-            }
-        }
-        let inv = 1.0 / m.rows().max(1) as f32;
-        out.as_mut_slice().iter_mut().for_each(|x| *x *= inv);
-        self.push(out, Op::MeanRows(a.0))
-    }
-
-    /// Column sums: n×m → 1×m.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let (_, cols) = self.shape(a);
-        let mut out = self.alloc_zeroed(1, cols);
-        let m = &self.nodes[a.0].value;
-        for r in 0..m.rows() {
-            for (o, &x) in out.row_mut(0).iter_mut().zip(m.row(r)) {
-                *o += x;
-            }
-        }
-        self.push(out, Op::SumRows(a.0))
-    }
-
-    /// Per-row sums across columns: n×m → n×1.
-    pub fn row_sums(&mut self, a: Var) -> Var {
-        let (rows, _) = self.shape(a);
-        let mut out = self.alloc_raw(rows, 1);
-        let m = &self.nodes[a.0].value;
-        for r in 0..m.rows() {
-            out.set(r, 0, m.row(r).iter().sum());
-        }
-        self.push(out, Op::RowSums(a.0))
     }
 
     // ---- broadcasting ----------------------------------------------------
@@ -616,28 +560,6 @@ impl Tape {
         out.as_mut_slice()
             .copy_from_slice(&m.as_slice()[start * cols..end * cols]);
         self.push(out, Op::SliceRows(a.0, start, end))
-    }
-
-    /// Inverted dropout with keep-probability `keep`; `rng01` supplies
-    /// uniform [0,1) samples so the caller controls the RNG stream.
-    pub fn dropout(&mut self, a: Var, keep: f32, rng01: &mut impl FnMut() -> f32) -> Var {
-        assert!(keep > 0.0 && keep <= 1.0, "dropout: keep must be in (0,1]");
-        let (rows, cols) = self.shape(a);
-        let mut out = self.alloc_raw(rows, cols);
-        let m = &self.nodes[a.0].value;
-        let inv = 1.0 / keep;
-        let mask: Vec<f32> = (0..m.len())
-            .map(|_| if rng01() < keep { inv } else { 0.0 })
-            .collect();
-        for ((o, &x), &mk) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(m.as_slice())
-            .zip(mask.iter())
-        {
-            *o = x * mk;
-        }
-        self.push(out, Op::Dropout(a.0, mask))
     }
 
     // ---- fused attention --------------------------------------------------
@@ -982,22 +904,6 @@ impl Tape {
             Op::Cos(a) => {
                 bump(*a, g.zip(&self.nodes[*a].value, |gg, x| -gg * x.sin()));
             }
-            Op::SoftmaxRows(a) => {
-                let y = &node.value;
-                let mut dx = Matrix::zeros(y.rows(), y.cols());
-                for r in 0..y.rows() {
-                    let dot: f32 = g
-                        .row(r)
-                        .iter()
-                        .zip(y.row(r))
-                        .map(|(&gg, &yy)| gg * yy)
-                        .sum();
-                    for c in 0..y.cols() {
-                        dx.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
-                    }
-                }
-                bump(*a, dx);
-            }
             Op::SumAll(a) => {
                 let (r, c) = self.nodes[*a].value.shape();
                 bump(*a, Matrix::full(r, c, g.scalar()));
@@ -1005,34 +911,6 @@ impl Tape {
             Op::MeanAll(a) => {
                 let (r, c) = self.nodes[*a].value.shape();
                 bump(*a, Matrix::full(r, c, g.scalar() / (r * c) as f32));
-            }
-            Op::MeanRows(a) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                let inv = 1.0 / r.max(1) as f32;
-                let mut dx = Matrix::zeros(r, c);
-                for rr in 0..r {
-                    for cc in 0..c {
-                        dx.set(rr, cc, g.get(0, cc) * inv);
-                    }
-                }
-                bump(*a, dx);
-            }
-            Op::SumRows(a) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                let mut dx = Matrix::zeros(r, c);
-                for rr in 0..r {
-                    dx.row_mut(rr).copy_from_slice(g.row(0));
-                }
-                bump(*a, dx);
-            }
-            Op::RowSums(a) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                let mut dx = Matrix::zeros(r, c);
-                for rr in 0..r {
-                    let gr = g.get(rr, 0);
-                    dx.row_mut(rr).iter_mut().for_each(|x| *x = gr);
-                }
-                bump(*a, dx);
             }
             Op::MulColBroadcast(a, c) => {
                 let cm = &self.nodes[*c].value;
@@ -1082,13 +960,6 @@ impl Tape {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
                 dx.as_mut_slice()[*start * c..*start * c + g.len()].copy_from_slice(g.as_slice());
-                bump(*a, dx);
-            }
-            Op::Dropout(a, mask) => {
-                let mut dx = g.clone();
-                for (o, &mk) in dx.as_mut_slice().iter_mut().zip(mask.iter()) {
-                    *o *= mk;
-                }
                 bump(*a, dx);
             }
             Op::MultiHeadGroupedAttention {
