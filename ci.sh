@@ -42,6 +42,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== ci: e2ebench builds against the workspace crates =="
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 
+echo "== ci: e2ebench statistics and trace-reader unit tests =="
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== ci: kernel smoke bench =="
 cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 

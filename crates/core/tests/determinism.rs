@@ -63,8 +63,11 @@ fn metrics_bit_identical_across_thread_counts() {
 }
 
 /// The sanitizer is observation-only: arming `BENCHTEMP_SANITIZE=1` must
-/// not change a single metric bit (it only *checks* slot claims and tape
-/// accounting; it never reorders or perturbs work).
+/// not change a single metric bit (it only *checks* slot claims, tape
+/// accounting, finite gradients and the parameter cone; it never reorders or
+/// perturbs work). The model's input is a constant leaf, so every backward
+/// pass in the sanitized child also asserts that no node outside the cone
+/// holds a gradient.
 #[test]
 fn metrics_bit_identical_with_sanitizer_on() {
     if common::child::is_child() {

@@ -96,7 +96,7 @@ impl SnapshotGnn {
         let w = &self.weights;
         let h = {
             let states = self.states.rows_var(&mut g, &(0..n).collect::<Vec<_>>());
-            let feats = g.input(ctx.graph.node_features.clone());
+            let feats = g.input_from(&ctx.graph.node_features);
             let fp = w.feat_proj.forward(&mut g, feats);
             g.add(states, fp)
         };

@@ -75,7 +75,7 @@ impl Temp {
     /// Pre-initialization: memory starts from projected node features.
     fn preinit(&mut self, ctx: &StreamContext) {
         let mut g = Graph::new(&self.core.store);
-        let f = g.input(ctx.graph.node_features.clone());
+        let f = g.input_from(&ctx.graph.node_features);
         let p = self.weights.feat_proj.forward(&mut g, f);
         let p = g.tanh(p);
         let init = g.value(p).clone();

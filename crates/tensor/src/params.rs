@@ -195,16 +195,17 @@ impl<'s> Graph<'s> {
         v
     }
 
-    /// Insert a non-trainable input.
+    /// Insert a non-trainable input: a constant leaf, outside the
+    /// parameter cone, so the backward pass spends nothing on it.
     pub fn input(&mut self, value: Matrix) -> Var {
-        self.tape.tape.leaf(value)
+        self.tape.tape.constant(value)
     }
 
     /// Insert a non-trainable input by copy into pooled storage — the
     /// allocation-free twin of [`Graph::input`] for callers that keep the
     /// source matrix around.
     pub fn input_from(&mut self, value: &Matrix) -> Var {
-        self.tape.tape.leaf_copied(value)
+        self.tape.tape.constant_copied(value)
     }
 
     /// Backward pass from a scalar loss; returns gradients for every bound

@@ -3,7 +3,11 @@
 //! A [`Tape`] records every operation as a node; [`Var`] is a copyable handle
 //! into the arena. Calling [`Tape::backward`] seeds the gradient of a scalar
 //! output and walks the tape in reverse, accumulating gradients into every
-//! node. Parameters are ordinary leaves whose gradients are read back by the
+//! node of the *parameter cone*: the differentiable leaves ([`Tape::leaf`],
+//! which parameters are) and every op with one upstream. Constant leaves —
+//! gathered features, `Graph::input` data — and everything computed from
+//! constants alone get no gradient, and no work is spent on them.
+//! Parameters are ordinary leaves whose gradients are read back by the
 //! optimizer after the backward pass.
 //!
 //! The design trades generality for auditability: each op's backward rule is
@@ -49,7 +53,10 @@ impl Activation {
 
 /// Operation record; indices refer to parent nodes on the same tape.
 enum Op {
+    /// Differentiable leaf: the root of a parameter cone.
     Leaf,
+    /// Constant leaf (data): never receives a gradient.
+    Const,
     Add(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
@@ -110,9 +117,49 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Parent node indices, in argument order.
+    fn parents(&self) -> [Option<usize>; 3] {
+        match *self {
+            Op::Leaf | Op::Const => [None; 3],
+            Op::Neg(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Transpose(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Cos(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SliceRows(a, _, _)
+            | Op::BceWithLogits { logits: a, .. }
+            | Op::SoftmaxCrossEntropy { logits: a, .. } => [Some(a), None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::MatMul(a, b)
+            | Op::MulColBroadcast(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::ConcatRows(a, b)
+            | Op::TimeEncodeFused {
+                omega: a, phase: b, ..
+            } => [Some(a), Some(b), None],
+            Op::MultiHeadGroupedAttention { q, k, v, .. } => [Some(q), Some(k), Some(v)],
+            Op::LinearAffine { x, w, b, .. } => [Some(x), Some(w), Some(b)],
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
     op: Op,
+    /// In the parameter cone: a differentiable leaf, or an op with one
+    /// upstream. Set once in [`Tape::push`]; only cone nodes receive
+    /// gradients in [`Tape::backward`].
+    grad: bool,
 }
 
 /// One shape's free list plus the demand accounting behind the epoch trim.
@@ -318,31 +365,57 @@ impl Tape {
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
         benchtemp_obs::counters::TAPE_NODES_ALLOCATED.incr();
-        // Leaves carry caller-provided storage; every other op's value came
-        // from `alloc_raw`/`alloc_zeroed` (the leak-check balance).
-        if !matches!(op, Op::Leaf) {
-            self.absorbed_since_reset += 1;
-        }
-        self.nodes.push(Node { value, op });
+        let grad = match op {
+            Op::Leaf => true,
+            Op::Const => false,
+            _ => {
+                // Leaves carry caller-provided storage; every other op's
+                // value came from `alloc_raw`/`alloc_zeroed` (the leak-check
+                // balance).
+                self.absorbed_since_reset += 1;
+                op.parents()
+                    .into_iter()
+                    .flatten()
+                    .any(|p| self.nodes[p].grad)
+            }
+        };
+        self.nodes.push(Node { value, op, grad });
         Var(self.nodes.len() - 1)
     }
 
-    /// Insert a constant/input/parameter leaf.
+    /// Insert a differentiable leaf (a parameter, or a test input whose
+    /// gradient is wanted): it and everything computed from it are in the
+    /// parameter cone.
     pub fn leaf(&mut self, value: Matrix) -> Var {
         self.push(value, Op::Leaf)
     }
 
-    /// Leaf whose storage comes from the recycled buffer pool: copies `src`
-    /// into a pooled buffer. Bit-identical to `leaf(src.clone())`, minus
-    /// the steady-state allocation.
+    /// Insert a constant leaf (data): it gets no gradient, and ops that
+    /// read only constants get none either.
+    pub(crate) fn constant(&mut self, value: Matrix) -> Var {
+        self.push(value, Op::Const)
+    }
+
+    /// Differentiable leaf whose storage comes from the recycled buffer
+    /// pool: copies `src` into a pooled buffer. Bit-identical to
+    /// `leaf(src.clone())`, minus the steady-state allocation.
     pub fn leaf_copied(&mut self, src: &Matrix) -> Var {
+        self.push_copied(src, Op::Leaf)
+    }
+
+    /// Constant twin of [`Tape::leaf_copied`].
+    pub(crate) fn constant_copied(&mut self, src: &Matrix) -> Var {
+        self.push_copied(src, Op::Const)
+    }
+
+    fn push_copied(&mut self, src: &Matrix, leaf: Op) -> Var {
         let (r, c) = src.shape();
         let mut m = self.alloc_raw(r, c);
         m.copy_from(src);
         // `push` skips the grant balance for leaves (they normally carry
         // caller storage); this leaf's storage is pool-granted, so count it.
         self.absorbed_since_reset += 1;
-        self.push(m, Op::Leaf)
+        self.push(m, leaf)
     }
 
     /// Read a node's value.
@@ -530,8 +603,8 @@ impl Tape {
     /// ([`Matrix::gather_rows_into`]). Each destination row is
     /// byte-for-byte the source row, so coalescing cannot change bits; the
     /// run count is a pure function of the index list and is ticked into
-    /// `tape.gather_coalesced_runs`. The result is a leaf: no gradient
-    /// flows to `src`.
+    /// `tape.gather_coalesced_runs`. The result is a constant leaf: no
+    /// gradient flows to it or to `src`.
     pub fn gather_rows_from(&mut self, src: &Matrix, indices: &[usize]) -> Var {
         let _span = benchtemp_obs::span("gather");
         let mut out = self.alloc_raw(indices.len(), src.cols());
@@ -542,7 +615,7 @@ impl Tape {
         // grant balance (they normally carry caller storage), so count it —
         // same pattern as `leaf_copied`.
         self.absorbed_since_reset += 1;
-        self.push(out, Op::Leaf)
+        self.push(out, Op::Const)
     }
 
     /// Row slice `[start, end)` — one contiguous copy of the row range; the
@@ -820,7 +893,8 @@ impl Tape {
     // ---- backward ------------------------------------------------------------
 
     /// Run reverse-mode differentiation from a scalar (1×1) output.
-    /// Returns per-node gradients, queryable via [`Gradients::get`].
+    /// Returns per-node gradients, queryable via [`Gradients::get`]; only
+    /// nodes in the parameter cone get one.
     pub fn backward(&mut self, output: Var) -> Gradients {
         assert_eq!(
             self.nodes[output.0].value.shape(),
@@ -828,7 +902,9 @@ impl Tape {
             "backward: output must be a scalar (1x1) loss"
         );
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[output.0] = Some(Matrix::full(1, 1, 1.0));
+        if self.nodes[output.0].grad {
+            grads[output.0] = Some(Matrix::full(1, 1, 1.0));
+        }
 
         for i in (0..=output.0).rev() {
             let Some(g) = grads[i].take() else { continue };
@@ -837,130 +913,157 @@ impl Tape {
             grads[i] = Some(g);
         }
         // Sanitizer: a NaN/Inf gradient anywhere poisons the next optimizer
-        // step silently; fail loudly at the source instead.
+        // step silently; fail loudly at the source instead. A gradient on a
+        // node outside the parameter cone means a backward arm bypassed the
+        // cone guard and paid for work nothing reads.
         if crate::sanitize::enabled() {
-            for (i, g) in grads.iter().enumerate() {
-                if let Some(m) = g {
-                    if let Some(bad) = m.as_slice().iter().find(|x| !x.is_finite()) {
-                        panic!(
-                            "sanitize[tape]: non-finite gradient {bad} at node {i} \
-                             (shape {:?}) after backward",
-                            m.shape(),
-                        );
-                    }
+            for (i, (g, node)) in grads.iter().zip(&self.nodes).enumerate() {
+                let Some(m) = g else { continue };
+                assert!(
+                    node.grad,
+                    "sanitize[tape]: node {i} (shape {:?}) is outside the parameter \
+                     cone but holds a gradient after backward",
+                    m.shape(),
+                );
+                if let Some(bad) = m.as_slice().iter().find(|x| !x.is_finite()) {
+                    panic!(
+                        "sanitize[tape]: non-finite gradient {bad} at node {i} \
+                         (shape {:?}) after backward",
+                        m.shape(),
+                    );
                 }
             }
         }
         Gradients { grads }
     }
 
-    fn accumulate(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
-        let node = &self.nodes[i];
-        let mut bump = |idx: usize, delta: Matrix| match &mut grads[idx] {
+    /// Add `delta()` into node `idx`'s gradient. The delta is computed only
+    /// when `idx` is in the parameter cone: contributions to constants are
+    /// never formed.
+    fn bump(&self, grads: &mut [Option<Matrix>], idx: usize, delta: impl FnOnce() -> Matrix) {
+        if !self.nodes[idx].grad {
+            return;
+        }
+        let delta = delta();
+        match &mut grads[idx] {
             Some(acc) => acc.add_assign(&delta),
             slot @ None => *slot = Some(delta),
-        };
+        }
+    }
+
+    fn accumulate(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
+        let node = &self.nodes[i];
+        let val = |idx: usize| &self.nodes[idx].value;
         match &node.op {
-            Op::Leaf => {}
+            Op::Leaf | Op::Const => {}
             Op::Add(a, b) => {
-                bump(*a, g.clone());
-                bump(*b, g.clone());
+                self.bump(grads, *a, || g.clone());
+                self.bump(grads, *b, || g.clone());
             }
             Op::Sub(a, b) => {
-                bump(*a, g.clone());
-                bump(*b, g.map(|x| -x));
+                self.bump(grads, *a, || g.clone());
+                self.bump(grads, *b, || g.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                bump(*a, g.zip(&self.nodes[*b].value, |gg, bb| gg * bb));
-                bump(*b, g.zip(&self.nodes[*a].value, |gg, aa| gg * aa));
+                self.bump(grads, *a, || g.zip(val(*b), |gg, bb| gg * bb));
+                self.bump(grads, *b, || g.zip(val(*a), |gg, aa| gg * aa));
             }
-            Op::Neg(a) => bump(*a, g.map(|x| -x)),
-            Op::Scale(a, s) => bump(*a, g.map(|x| x * s)),
-            Op::AddScalar(a) => bump(*a, g.clone()),
+            Op::Neg(a) => self.bump(grads, *a, || g.map(|x| -x)),
+            Op::Scale(a, s) => self.bump(grads, *a, || g.map(|x| x * s)),
+            Op::AddScalar(a) => self.bump(grads, *a, || g.clone()),
             Op::MatMul(a, b) => {
-                bump(*a, g.matmul_transpose(&self.nodes[*b].value));
-                bump(*b, self.nodes[*a].value.transpose_matmul(g));
+                self.bump(grads, *a, || g.matmul_transpose(val(*b)));
+                self.bump(grads, *b, || val(*a).transpose_matmul(g));
             }
-            Op::Transpose(a) => bump(*a, g.transpose()),
+            Op::Transpose(a) => self.bump(grads, *a, || g.transpose()),
             Op::Sigmoid(a) => {
-                bump(*a, g.zip(&node.value, |gg, y| gg * y * (1.0 - y)));
+                self.bump(grads, *a, || g.zip(&node.value, |gg, y| gg * y * (1.0 - y)));
             }
             Op::Tanh(a) => {
-                bump(*a, g.zip(&node.value, |gg, y| gg * (1.0 - y * y)));
+                self.bump(grads, *a, || g.zip(&node.value, |gg, y| gg * (1.0 - y * y)));
             }
             Op::Relu(a) => {
-                bump(
-                    *a,
-                    g.zip(
-                        &self.nodes[*a].value,
-                        |gg, x| if x > 0.0 { gg } else { 0.0 },
-                    ),
-                );
+                self.bump(grads, *a, || {
+                    g.zip(val(*a), |gg, x| if x > 0.0 { gg } else { 0.0 })
+                });
             }
-            Op::Exp(a) => bump(*a, g.zip(&node.value, |gg, y| gg * y)),
+            Op::Exp(a) => self.bump(grads, *a, || g.zip(&node.value, |gg, y| gg * y)),
             Op::Ln(a) => {
-                bump(*a, g.zip(&self.nodes[*a].value, |gg, x| gg / x.max(1e-12)));
+                self.bump(grads, *a, || g.zip(val(*a), |gg, x| gg / x.max(1e-12)));
             }
             Op::Cos(a) => {
-                bump(*a, g.zip(&self.nodes[*a].value, |gg, x| -gg * x.sin()));
+                self.bump(grads, *a, || g.zip(val(*a), |gg, x| -gg * x.sin()));
             }
             Op::SumAll(a) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                bump(*a, Matrix::full(r, c, g.scalar()));
+                let (r, c) = val(*a).shape();
+                self.bump(grads, *a, || Matrix::full(r, c, g.scalar()));
             }
             Op::MeanAll(a) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                bump(*a, Matrix::full(r, c, g.scalar() / (r * c) as f32));
+                let (r, c) = val(*a).shape();
+                self.bump(grads, *a, || {
+                    Matrix::full(r, c, g.scalar() / (r * c) as f32)
+                });
             }
             Op::MulColBroadcast(a, c) => {
-                let cm = &self.nodes[*c].value;
-                let am = &self.nodes[*a].value;
-                let mut da = g.clone();
-                let mut dc = Matrix::zeros(cm.rows(), 1);
-                for r in 0..g.rows() {
-                    let s = cm.get(r, 0);
-                    da.row_mut(r).iter_mut().for_each(|x| *x *= s);
-                    let dot: f32 = g
-                        .row(r)
-                        .iter()
-                        .zip(am.row(r))
-                        .map(|(&gg, &aa)| gg * aa)
-                        .sum();
-                    dc.set(r, 0, dot);
-                }
-                bump(*a, da);
-                bump(*c, dc);
+                let (am, cm) = (val(*a), val(*c));
+                self.bump(grads, *a, || {
+                    let mut da = g.clone();
+                    for r in 0..g.rows() {
+                        let s = cm.get(r, 0);
+                        da.row_mut(r).iter_mut().for_each(|x| *x *= s);
+                    }
+                    da
+                });
+                self.bump(grads, *c, || {
+                    let mut dc = Matrix::zeros(cm.rows(), 1);
+                    for r in 0..g.rows() {
+                        let dot: f32 = g
+                            .row(r)
+                            .iter()
+                            .zip(am.row(r))
+                            .map(|(&gg, &aa)| gg * aa)
+                            .sum();
+                        dc.set(r, 0, dot);
+                    }
+                    dc
+                });
             }
             Op::ConcatCols(a, b) => {
-                let ac = self.nodes[*a].value.cols();
-                let bc = self.nodes[*b].value.cols();
-                let mut da = Matrix::zeros(g.rows(), ac);
-                let mut db = Matrix::zeros(g.rows(), bc);
-                for r in 0..g.rows() {
-                    da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
-                    db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
-                }
-                bump(*a, da);
-                bump(*b, db);
+                let ac = val(*a).cols();
+                let bc = val(*b).cols();
+                self.bump(grads, *a, || {
+                    let mut da = Matrix::zeros(g.rows(), ac);
+                    for r in 0..g.rows() {
+                        da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
+                    }
+                    da
+                });
+                self.bump(grads, *b, || {
+                    let mut db = Matrix::zeros(g.rows(), bc);
+                    for r in 0..g.rows() {
+                        db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
+                    }
+                    db
+                });
             }
             Op::ConcatRows(a, b) => {
-                let ar = self.nodes[*a].value.rows();
-                let mut da = Matrix::zeros(ar, g.cols());
-                let mut db = Matrix::zeros(g.rows() - ar, g.cols());
-                for r in 0..ar {
-                    da.row_mut(r).copy_from_slice(g.row(r));
-                }
-                for r in ar..g.rows() {
-                    db.row_mut(r - ar).copy_from_slice(g.row(r));
-                }
-                bump(*a, da);
-                bump(*b, db);
+                let ar = val(*a).rows();
+                let split = ar * g.cols();
+                self.bump(grads, *a, || {
+                    Matrix::from_vec(ar, g.cols(), g.as_slice()[..split].to_vec())
+                });
+                self.bump(grads, *b, || {
+                    Matrix::from_vec(g.rows() - ar, g.cols(), g.as_slice()[split..].to_vec())
+                });
             }
             Op::SliceRows(a, start, _end) => {
-                let (r, c) = self.nodes[*a].value.shape();
-                let mut dx = Matrix::zeros(r, c);
-                dx.as_mut_slice()[*start * c..*start * c + g.len()].copy_from_slice(g.as_slice());
-                bump(*a, dx);
+                let (r, c) = val(*a).shape();
+                self.bump(grads, *a, || {
+                    let mut dx = Matrix::zeros(r, c);
+                    dx.as_mut_slice()[*start * c..*start * c + g.len()]
+                        .copy_from_slice(g.as_slice());
+                    dx
+                });
             }
             Op::MultiHeadGroupedAttention {
                 q,
@@ -976,15 +1079,19 @@ impl Tape {
                 // writing straight into the shared gradient buffers. Stripes
                 // are disjoint, so each gradient element has one writer and
                 // equals the single-head gradient of its head (DESIGN.md §12).
+                // Only the operands in the parameter cone get a buffer.
                 let qm = &self.nodes[*q].value;
                 let km = &self.nodes[*k].value;
                 let vm = &self.nodes[*v].value;
                 let n = qm.rows();
                 let model_dim = qm.cols();
                 let hd = model_dim / heads;
-                let mut dq = Matrix::zeros(n, model_dim);
-                let mut dk = Matrix::zeros(km.rows(), model_dim);
-                let mut dv = Matrix::zeros(vm.rows(), vm.cols());
+                let cone = |idx: usize, rows: usize| {
+                    self.nodes[idx].grad.then(|| Matrix::zeros(rows, model_dim))
+                };
+                let mut dq = cone(*q, n);
+                let mut dk = cone(*k, km.rows());
+                let mut dv = cone(*v, vm.rows());
                 let mut da = vec![0.0f32; *group];
                 let wts = weights.as_slice();
                 let w_w = heads * group;
@@ -1002,7 +1109,7 @@ impl Tape {
                                 .map(|(&gg, &vv)| gg * vv)
                                 .sum();
                             a_dot_da += w * da[j];
-                            if w != 0.0 {
+                            if let Some(dv) = dv.as_mut().filter(|_| w != 0.0) {
                                 for (o, &gg) in
                                     dv.row_mut(idx)[h * hd..(h + 1) * hd].iter_mut().zip(g_seg)
                                 {
@@ -1017,24 +1124,30 @@ impl Tape {
                                 continue;
                             }
                             let ds = w * (da[j] - a_dot_da) * scale;
-                            for (o, &kk) in dq.row_mut(i)[h * hd..(h + 1) * hd]
-                                .iter_mut()
-                                .zip(&km.row(idx)[h * hd..(h + 1) * hd])
-                            {
-                                *o += ds * kk;
+                            if let Some(dq) = dq.as_mut() {
+                                for (o, &kk) in dq.row_mut(i)[h * hd..(h + 1) * hd]
+                                    .iter_mut()
+                                    .zip(&km.row(idx)[h * hd..(h + 1) * hd])
+                                {
+                                    *o += ds * kk;
+                                }
                             }
-                            for (o, &qq) in dk.row_mut(idx)[h * hd..(h + 1) * hd]
-                                .iter_mut()
-                                .zip(&qm.row(i)[h * hd..(h + 1) * hd])
-                            {
-                                *o += ds * qq;
+                            if let Some(dk) = dk.as_mut() {
+                                for (o, &qq) in dk.row_mut(idx)[h * hd..(h + 1) * hd]
+                                    .iter_mut()
+                                    .zip(&qm.row(i)[h * hd..(h + 1) * hd])
+                                {
+                                    *o += ds * qq;
+                                }
                             }
                         }
                     }
                 }
-                bump(*q, dq);
-                bump(*k, dk);
-                bump(*v, dv);
+                for (idx, d) in [(*q, dq), (*k, dk), (*v, dv)] {
+                    if let Some(d) = d {
+                        self.bump(grads, idx, || d);
+                    }
+                }
             }
             Op::LinearAffine { x, w, b, act } => {
                 let xm = &self.nodes[*x].value;
@@ -1081,15 +1194,19 @@ impl Tape {
                 };
                 let gp: &Matrix = gp_owned.as_ref().unwrap_or(g);
                 // db is the column sum of gp, accumulated row by row.
-                let mut db = Matrix::zeros(1, n);
-                for r in 0..m {
-                    for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
-                        *o += v;
+                self.bump(grads, *b, || {
+                    let mut db = Matrix::zeros(1, n);
+                    for r in 0..m {
+                        for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
+                            *o += v;
+                        }
                     }
-                }
-                bump(*b, db);
-                bump(*x, gp.matmul_transpose(wm));
-                bump(*w, xm.transpose_matmul(gp));
+                    db
+                });
+                // A constant `x` (gathered features, memory rows) skips the
+                // `gp·wᵀ` product entirely.
+                self.bump(grads, *x, || gp.matmul_transpose(wm));
+                self.bump(grads, *w, || xm.transpose_matmul(gp));
             }
             Op::TimeEncodeFused { omega, phase, dts } => {
                 let om = &self.nodes[*omega].value;
@@ -1115,23 +1232,27 @@ impl Tape {
                 // dφ is the column sum of gs; dω = dtᵀ·gs through the
                 // `transpose_matmul` kernel. Δt is data, not a parameter,
                 // so no gradient is computed for it.
-                let mut dph = Matrix::zeros(1, d);
-                for r in 0..n {
-                    for (o, &v) in dph.row_mut(0).iter_mut().zip(gs.row(r)) {
-                        *o += v;
+                self.bump(grads, *phase, || {
+                    let mut dph = Matrix::zeros(1, d);
+                    for r in 0..n {
+                        for (o, &v) in dph.row_mut(0).iter_mut().zip(gs.row(r)) {
+                            *o += v;
+                        }
                     }
-                }
-                bump(*phase, dph);
-                bump(*omega, dts.transpose_matmul(&gs));
+                    dph
+                });
+                self.bump(grads, *omega, || dts.transpose_matmul(&gs));
             }
             Op::BceWithLogits { logits, targets } => {
                 let lm = &self.nodes[*logits].value;
                 let inv = g.scalar() / targets.len().max(1) as f32;
-                let mut dx = Matrix::zeros(lm.rows(), 1);
-                for (r, &y) in targets.iter().enumerate() {
-                    dx.set(r, 0, (stable_sigmoid(lm.get(r, 0)) - y) * inv);
-                }
-                bump(*logits, dx);
+                self.bump(grads, *logits, || {
+                    let mut dx = Matrix::zeros(lm.rows(), 1);
+                    for (r, &y) in targets.iter().enumerate() {
+                        dx.set(r, 0, (stable_sigmoid(lm.get(r, 0)) - y) * inv);
+                    }
+                    dx
+                });
             }
             Op::SoftmaxCrossEntropy {
                 logits,
@@ -1139,13 +1260,15 @@ impl Tape {
                 probs,
             } => {
                 let inv = g.scalar() / labels.len().max(1) as f32;
-                let mut dx = probs.clone();
-                for (r, &y) in labels.iter().enumerate() {
-                    let v = dx.get(r, y) - 1.0;
-                    dx.set(r, y, v);
-                }
-                dx.as_mut_slice().iter_mut().for_each(|x| *x *= inv);
-                bump(*logits, dx);
+                self.bump(grads, *logits, || {
+                    let mut dx = probs.clone();
+                    for (r, &y) in labels.iter().enumerate() {
+                        let v = dx.get(r, y) - 1.0;
+                        dx.set(r, y, v);
+                    }
+                    dx.as_mut_slice().iter_mut().for_each(|x| *x *= inv);
+                    dx
+                });
             }
         }
     }
@@ -1157,7 +1280,9 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient of the loss w.r.t. `v`; `None` if `v` did not influence it.
+    /// Gradient of the loss w.r.t. `v`; `None` if `v` is outside the
+    /// parameter cone (a constant leaf, or computed from constants only)
+    /// or did not influence the loss.
     pub fn get(&self, v: Var) -> Option<&Matrix> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
